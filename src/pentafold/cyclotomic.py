@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from typing import Iterator
 
-from .pentagonal import iter_terms
+from .pentagonal import iter_signed_values
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ def iter_profile(m: int) -> Iterator[tuple[int, int]]:
     the constant term, +1 at residue 0."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    for term in iter_terms(include_zero=True):
-        yield term.sign, term.value % m
+    yield 1, 0
+    for value, sign in iter_signed_values():
+        yield sign, value % m
 
 
 def period_profile(m: int) -> list[tuple[int, int]]:
@@ -94,8 +95,8 @@ def substitute_stream(m: int, i: int, term_count: int) -> CycVec:
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
     coords = [0] * m
-    for term in islice(iter_terms(include_zero=True), term_count):
-        coords[(term.value * i) % m] += term.sign
+    for sign, residue in islice(iter_profile(m), term_count):
+        coords[(residue * i) % m] += sign
     return CycVec(m, tuple(coords))
 
 
@@ -145,26 +146,24 @@ def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport
     return PeriodCancellationReport(m, periods, block_length, tuple(violations))
 
 
+def _block_signs(m: int, residue: int) -> list[int]:
+    """Signs of the residue class within one 4m block, in stream order."""
+    if not 0 <= residue < m:
+        raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
+    return [sign for sign, r in period_profile(m) if r == residue]
+
+
 def residue_substream(m: int, residue: int, count: int) -> list[int]:
     """Signs of the stream terms (constant included) whose exponent leaves the
     given residue mod m, in stream order; at most `count` of them.
 
-    A residue that never occurs in one 4m block never occurs at all, and comes
-    back as an empty list.
+    The stream repeats its 4m block, so the class repeats its signs from one
+    block; a residue that never occurs there comes back as an empty list.
     """
-    if not 0 <= residue < m:
-        raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
+    block = _block_signs(m, residue)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if all(r != residue for _, r in period_profile(m)):
-        return []
-    out: list[int] = []
-    for sign, r in iter_profile(m):
-        if r == residue:
-            out.append(sign)
-            if len(out) == count:
-                break
-    return out
+    return list(islice(cycle(block), count))
 
 
 @dataclass(frozen=True)
@@ -197,14 +196,12 @@ def verify_basis_cancellation(m: int, residue: int) -> BasisCancellationReport:
     classes have different sub-periods, so nothing is assumed), then check that
     one period sums to zero and that its L running partial sums sum to zero
     (zero mean partial sum, the averaging reading of the cancellation)."""
-    if not 0 <= residue < m:
-        raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    per_block = sum(1 for _, r in period_profile(m) if r == residue)
-    if per_block == 0:
+    block = _block_signs(m, residue)
+    if not block:
         return BasisCancellationReport(m, residue, 0, (), (), 0, 0)
-    window = residue_substream(m, residue, 3 * per_block)
-    length = per_block
-    for candidate in range(1, per_block + 1):
+    window = block * 3
+    length = len(block)
+    for candidate in range(1, len(block) + 1):
         if all(window[pos] == window[pos - candidate] for pos in range(candidate, len(window))):
             length = candidate
             break

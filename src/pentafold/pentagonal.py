@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -41,21 +41,38 @@ def pentagonal(k: int, branch: Branch) -> int:
     return (3 * k * k + k) // 2
 
 
-def iter_terms(include_zero: bool = False) -> Iterator[PentagonalTerm]:
-    """Yield stream terms in strictly increasing value order, indefinitely.
+def iter_signed_values() -> Iterator[tuple[int, int]]:
+    """Yield (value, sign) for the stream terms after the constant, in stream
+    order, indefinitely: the plain-integer source every hot loop reads.
 
     Position p >= 1 carries index k = ceil(p/2), MINUS branch when p is odd,
-    so signs run -, -, +, + with period four.  The k=0 term (both branches
+    so signs run -, -, +, + with period four.
+    """
+    k = 1
+    while True:
+        sign = -1 if k % 2 else 1
+        minus = (3 * k * k - k) // 2
+        yield minus, sign
+        yield minus + k, sign
+        k += 1
+
+
+def signed_values(limit: int) -> list[tuple[int, int]]:
+    """(value, sign) for every stream term with 1 <= value <= limit, in stream
+    order; values increase strictly, so the list stops at the first one past
+    the limit."""
+    return list(takewhile(lambda term: term[0] <= limit, iter_signed_values()))
+
+
+def iter_terms(include_zero: bool = False) -> Iterator[PentagonalTerm]:
+    """Yield stream terms in strictly increasing value order, indefinitely,
+    each labelled with its index k and branch.  The k=0 term (both branches
     collapse to 0, sign +) is emitted exactly once, and only on request.
     """
     if include_zero:
         yield PentagonalTerm(0, Branch.MINUS, 0, 1)
-    k = 1
-    while True:
-        sign = -1 if k % 2 else 1
-        yield PentagonalTerm(k, Branch.MINUS, (3 * k * k - k) // 2, sign)
-        yield PentagonalTerm(k, Branch.PLUS, (3 * k * k + k) // 2, sign)
-        k += 1
+    for p, (value, sign) in enumerate(iter_signed_values(), start=1):
+        yield PentagonalTerm((p + 1) // 2, Branch.MINUS if p % 2 else Branch.PLUS, value, sign)
 
 
 def term_stream(count: int, include_zero: bool = False) -> list[PentagonalTerm]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pentagonal import iter_terms
+from .pentagonal import signed_values
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,18 @@ class DenseSeries:
 
 
 def multiply_truncated(a: DenseSeries, b: DenseSeries, degree_cap: int) -> DenseSeries:
-    """Convolve a and b, discarding every degree above degree_cap."""
+    """Convolve a and b, discarding every degree above degree_cap; each nonzero
+    coefficient of b adds one shifted, scaled copy of a (O(cap) per factor
+    1 - x^k)."""
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
     out = [0] * (degree_cap + 1)
-    for i, ca in enumerate(a.coeffs[: degree_cap + 1]):
-        if not ca:
-            continue
-        top = degree_cap - i
-        for j, cb in enumerate(b.coeffs[: top + 1]):
-            if cb:
-                out[i + j] += ca * cb
+    head = a.coeffs[: degree_cap + 1]
+    for j, cb in b.nonzero():
+        if j > degree_cap:
+            break
+        span = head[: degree_cap + 1 - j]
+        out[j : j + len(span)] = [o + ca * cb for o, ca in zip(out[j:], span)]
     return DenseSeries(tuple(out))
 
 
@@ -66,10 +67,8 @@ def pentagonal_series(degree_cap: int) -> DenseSeries:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
     coeffs = [0] * (degree_cap + 1)
     coeffs[0] = 1
-    for term in iter_terms():
-        if term.value > degree_cap:
-            break
-        coeffs[term.value] = term.sign
+    for value, sign in signed_values(degree_cap):
+        coeffs[value] = sign
     return DenseSeries(tuple(coeffs))
 
 
@@ -92,13 +91,21 @@ def elementary_symmetric(series: DenseSeries, count: int) -> list[int]:
 
 
 def power_sums(series: DenseSeries, count: int) -> list[int]:
-    """p_1..p_count of the reciprocal roots, by Newton's identities on the
-    elementary symmetric values; exact integers throughout."""
-    e = elementary_symmetric(series, count)
-    p: list[int] = []
+    """p_1..p_count of the reciprocal roots, exact integers throughout.
+
+    Newton's identities in coefficient form, p_k = -k*a_k - sum over j < k of
+    a_j * p_(k-j), read off series * sum(p_k x^k) = -x * series'.  Only the
+    nonzero a_j are visited, so the cost is O(count * nonzeros): O(n sqrt n)
+    on the pentagonal series, where the -k*a_k term is the recurrence's
+    boundary rule (a subtrahend hitting k contributes k).
+    """
+    _require_monic(series, count)
+    a = series.coeffs
+    support = [(j, c) for j, c in series.nonzero()[1:] if j <= count]
+    p = [0] * (count + 1)
+    live = 0  # support[:live] holds the degrees j < k
     for k in range(1, count + 1):
-        acc = (-1) ** (k - 1) * k * e[k - 1]
-        for j in range(1, k):
-            acc += (-1) ** (j - 1) * e[j - 1] * p[k - j - 1]
-        p.append(acc)
-    return p
+        if live < len(support) and support[live][0] < k:
+            live += 1
+        p[k] = -k * a[k] - sum([c * p[k - j] for j, c in support[:live]])
+    return p[1:]

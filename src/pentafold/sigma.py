@@ -3,10 +3,12 @@ subtrahends with its boundary rule (a subtrahend hitting n contributes n)."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .pentagonal import iter_terms
+from .pentagonal import signed_values
+from .qseries import pentagonal_series, power_sums
 
 
 @dataclass
@@ -50,16 +52,13 @@ def recurrence_terms(n: int, table: SigmaTable, boundary_rule: bool = True) -> l
     if n < 1:
         raise ValueError(f"recurrence needs n >= 1, got {n}")
     out: list[int] = []
-    for term in iter_terms():
-        rest = n - term.value
-        if rest < 0:
-            break
-        sign = -term.sign
+    for value, sign in signed_values(n):
+        rest = n - value
         if rest == 0:
             if boundary_rule:
-                out.append(sign * n)
+                out.append(-sign * n)
         else:
-            out.append(sign * table[rest])
+            out.append(-sign * table[rest])
     return out
 
 
@@ -71,24 +70,38 @@ def sigma_recurrence(n: int, table: SigmaTable, boundary_rule: bool = True) -> i
 def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     """Fill sigma(1..max_n) by "brute" or by "recurrence".
 
-    The recurrence builds incrementally, each entry reading only earlier ones.
+    The recurrence is Newton's identities on the pentagonal series: sigma(k)
+    is the k-th power sum of its reciprocal roots, which power_sums reads off
+    the sparse coefficients in O(n sqrt n).  recurrence_terms spells out the
+    same sum for one n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     if method not in ("brute", "recurrence"):
         raise ValueError(f"method must be 'brute' or 'recurrence', got {method!r}")
-    table = SigmaTable(0, [0])
-    for n in range(1, max_n + 1):
-        value = sigma_brute(n) if method == "brute" else sigma_recurrence(n, table)
-        table.values.append(value)
-        table.max_n = n
-    return table
+    values = [0]
+    if method == "brute":
+        values += map(sigma_brute, range(1, max_n + 1))
+    else:
+        values += power_sums(pentagonal_series(max_n), max_n)
+    return SigmaTable(max_n, values)
 
 
 def save_table(table: SigmaTable, path: str | Path) -> None:
-    """Write one "n,sigma" record per line, ASCII decimal, no header."""
-    lines = [f"{n},{table.values[n]}" for n in range(1, table.max_n + 1)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write one "n,sigma" record per line, ASCII decimal, no header.
+
+    The records go to a temporary file beside the target, which then replaces
+    it in one step, so a write that fails part-way leaves the old file intact.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="ascii") as handle:
+            handle.writelines(f"{n},{table.values[n]}\n" for n in range(1, table.max_n + 1))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path: str | Path) -> SigmaTable:

@@ -5,18 +5,23 @@ of unity with a root-of-unity filter for residue classes."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .pentagonal import Branch, iter_terms, pentagonal
+from .pentagonal import Branch, pentagonal, signed_values
 
 HARD_EXPONENT_CAP = 10**6
 
 
 class NonPolynomialSequenceError(ValueError):
     """The forward differences never became all zero; no value is invented."""
+
+
+class FloatRangeError(ValueError):
+    """A damped term or total lies beyond float range; no value is invented."""
 
 
 class TruncationInfeasibleError(RuntimeError):
@@ -172,7 +177,9 @@ def abel_evaluate(
     the root power reduced mod m exactly before any trigonometry.  Truncation
     stops at the smallest cap clearing the tail bound, or at exponent_cap when
     the caller pins one (e.g. to compare different rho on equal footing).
-    The k=0 constant contributes 1 when exponent is 0.
+    The k=0 constant contributes 1 when exponent is 0.  A magnitude whose
+    value**exponent factor alone leaves float range is taken in the log
+    domain instead; a term or total beyond float range raises FloatRangeError.
     """
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
@@ -184,12 +191,20 @@ def abel_evaluate(
         cap = required_exponent_cap(exponent, rho, tolerance, hard_cap)
     total = complex(1.0, 0.0) if exponent == 0 else complex(0.0, 0.0)
     step = 2.0 * math.pi / m
-    for term in iter_terms():
-        if term.value > cap:
-            break
-        angle = step * ((term.value * i) % m)
-        magnitude = float(term.value**exponent) * rho**term.value
-        total += term.sign * magnitude * complex(math.cos(angle), math.sin(angle))
+    for value, sign in signed_values(cap):
+        angle = step * ((value * i) % m)
+        try:
+            magnitude = float(value**exponent) * rho**value
+        except OverflowError:
+            try:
+                magnitude = math.exp(exponent * math.log(value) + value * math.log(rho))
+            except OverflowError:
+                raise FloatRangeError(
+                    f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
+                ) from None
+        total += sign * magnitude * complex(math.cos(angle), math.sin(angle))
+    if not cmath.isfinite(total):
+        raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range")
     return total
 
 
@@ -206,10 +221,11 @@ def residue_class_abel(
     is congruent to residue mod m.  Expected to sink toward 0 as rho -> 1."""
     if not 0 <= residue < m:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
+    cap = required_exponent_cap(exponent, rho, tolerance, hard_cap)
     total = complex(0.0, 0.0)
     step = 2.0 * math.pi / m
     for i in range(m):
         angle = -step * ((i * residue) % m)
         weight = complex(math.cos(angle), math.sin(angle))
-        total += weight * abel_evaluate(exponent, m, i, rho, tolerance, hard_cap=hard_cap)
+        total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
     return total / m

@@ -1,10 +1,14 @@
 """CLI behavior: pinned outputs, formats, cache handling, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pentafold.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +162,40 @@ def test_verify_pnt_dump_lists_nonzero_coefficients(capsys):
     assert "1,-1" in lines and "5,1" in lines and "26,1" in lines
     assert len(lines) == 9  # degrees 0, 1, 2, 5, 7, 12, 15, 22, 26 and nothing else <= 30
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sigma_300.csv", ["sigma", "--max", "300"]),
+        ("powersums_80.csv", ["verify-powersums", "--count", "80"]),
+        ("periods_12.csv", ["verify-periods", "--max-m", "12"]),
+        ("pnt_200_dump.csv", ["verify-pnt", "--degree", "200", "--dump"]),
+    ],
+)
+def test_csv_output_matches_golden(capsys, name, argv):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert out == (GOLDEN / name).read_text(encoding="ascii")
+    assert code == 0
+
+
+def test_abel_beyond_float_range_is_a_usage_error(capsys):
+    code = main(["abel", "--lambda", "120", "--m", "2", "--rho", "0.9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("pentafold: ") and captured.err.count("\n") == 1
+    assert "float range" in captured.err
+
+
+def test_abel_large_terms_within_float_range(capsys):
+    # the largest term is about e**498: finite, though 1272**120 alone is not
+    code, out = run_cli(
+        capsys, "abel", "--lambda", "120", "--m", "2", "--rho", "0.5", "--baseline", "0.4",
+        "--format", "csv",
+    )
+    assert out.strip() == "120,2,i0,0.5,2.797521e+216,FAIL,6.030811e+201"
+    assert code == 1
 
 
 @pytest.mark.parametrize(

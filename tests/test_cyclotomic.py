@@ -150,6 +150,15 @@ def test_residue_substream_empty_class():
     assert residue_substream(5, 4, 10) == []
 
 
+def test_residue_substream_matches_a_stream_scan():
+    for m in range(1, 31):
+        stream = list(islice(iter_terms(include_zero=True), 12 * m))  # three 4m blocks
+        for r in range(m):
+            expected = [t.sign for t in stream if t.value % m == r]
+            count = len(expected) or 1
+            assert residue_substream(m, r, count) == expected[:count], (m, r)
+
+
 def test_residue_substream_rejects_bad_residue():
     with pytest.raises(ValueError):
         residue_substream(5, 5, 4)

@@ -16,6 +16,7 @@ from pentafold import (
     pentagonal,
     term_stream,
 )
+from pentafold.pentagonal import signed_values
 
 
 def branch_values_up_to(limit: int) -> list[int]:
@@ -170,3 +171,10 @@ def test_is_pentagonal_roundtrip(k, branch):
 def test_iter_terms_is_lazy():
     first_three = list(islice(iter_terms(), 3))
     assert [t.value for t in first_three] == [1, 2, 5]
+
+
+def test_signed_values_is_the_stream_up_to_a_limit():
+    for limit in (0, 1, 2, 4, 5, 6, 7, 26, 27, 1000):
+        expected = [(t.value, t.sign) for t in islice(iter_terms(), 60) if t.value <= limit]
+        assert signed_values(limit) == expected
+    assert [v for v, _ in signed_values(1000)] == branch_values_up_to(1000)[1:]

@@ -31,6 +31,42 @@ def naive_product(factors, cap):
     return coeffs
 
 
+def newton_reference(coeffs, count):
+    """Oracle: dense O(n^2) Newton's identities on e_k = (-1)**k * coeffs[k]."""
+    e = [(-1) ** k * coeffs[k] for k in range(count + 1)]
+    p = [0]
+    for k in range(1, count + 1):
+        acc = (-1) ** (k - 1) * k * e[k]
+        for j in range(1, k):
+            acc += (-1) ** (j - 1) * e[j] * p[k - j]
+        p.append(acc)
+    return p[1:]
+
+
+def naive_convolution(a, b, cap):
+    """Oracle: every coefficient pair, kept when its degree is within the cap."""
+    out = [0] * (cap + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= cap:
+                out[i + j] += x * y
+    return out
+
+
+@st.composite
+def monic_series(draw, sparse):
+    """A monic integer series and a count within its degree cap; the sparse
+    kind keeps only a handful of nonzero coefficients."""
+    cap = draw(st.integers(min_value=1, max_value=40))
+    coeffs = [1] + [0] * cap
+    if sparse:
+        for degree, value in draw(st.dictionaries(st.integers(1, cap), st.integers(-3, 3), max_size=4)).items():
+            coeffs[degree] = value
+    else:
+        coeffs[1:] = draw(st.lists(st.integers(-9, 9), min_size=cap, max_size=cap))
+    return DenseSeries(tuple(coeffs)), draw(st.integers(min_value=1, max_value=cap))
+
+
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8).map(
     lambda cs: DenseSeries(tuple(cs))
 )
@@ -68,6 +104,11 @@ def test_multiply_is_associative_under_shared_cap(a, b, c, cap):
     left = multiply_truncated(multiply_truncated(a, b, cap), c, cap)
     right = multiply_truncated(a, multiply_truncated(b, c, cap), cap)
     assert left == right
+
+
+@given(small_series, small_series, st.integers(min_value=0, max_value=20))
+def test_multiply_matches_naive_convolution(a, b, cap):
+    assert list(multiply_truncated(a, b, cap).coeffs) == naive_convolution(a.coeffs, b.coeffs, cap)
 
 
 def test_euler_product_examples():
@@ -126,6 +167,12 @@ def test_power_sums_first_values():
 def test_power_sums_equal_divisor_sums():
     p = power_sums(euler_product(50), 50)
     assert p == [sigma_brute(k) for k in range(1, 51)]
+
+
+@given(st.one_of(monic_series(sparse=True), monic_series(sparse=False)))
+def test_power_sums_match_dense_newton(case):
+    series, count = case
+    assert power_sums(series, count) == newton_reference(series.coeffs, count)
 
 
 def test_symmetric_function_domain_errors():

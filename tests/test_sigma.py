@@ -1,6 +1,8 @@
 """Divisor sums: brute oracle, recurrence, boundary rule, persistence."""
 
+import errno
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,15 @@ from pentafold import (
     sigma_recurrence,
     sigma_table,
 )
+
+def divisor_sieve(limit):
+    """Oracle: add every d to each of its multiples, O(n log n)."""
+    sums = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for multiple in range(d, limit + 1, d):
+            sums[multiple] += d
+    return sums
+
 
 PAPER_TABLE = [1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12]  # sigma(1..11)
 
@@ -78,6 +89,11 @@ def test_table_methods_agree():
     assert brute.values == recurrence.values
 
 
+def test_recurrence_table_matches_divisor_sieve_at_scale():
+    limit = 3 * 10**4
+    assert sigma_table(limit, "recurrence").values == divisor_sieve(limit)
+
+
 def test_table_examples():
     assert sigma_table(11, "brute").values[1:] == PAPER_TABLE
     assert sigma_table(1, "brute").values[1:] == [1]
@@ -126,6 +142,44 @@ def test_save_and_load_roundtrip(tmp_path):
     loaded = load_table(path)
     assert loaded.max_n == 40
     assert loaded.values == table.values
+
+
+class FullDisk:
+    """A writable file that takes `room` more characters, then fails the way
+    a full disk does, leaving what fitted on disk."""
+
+    def __init__(self, handle, room):
+        self.handle, self.room = handle, room
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.handle.write(text[: self.room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return self.handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+def test_save_failing_part_way_leaves_old_cache_intact(tmp_path, monkeypatch):
+    path = tmp_path / "sigma.csv"
+    save_table(sigma_table(10), path)
+    before = path.read_bytes()
+    real_open = Path.open
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "open", lambda self, *args, **kwargs: FullDisk(real_open(self, *args, **kwargs), 50))
+        with pytest.raises(OSError):
+            save_table(sigma_table(40), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
 
 
 def test_load_rejects_gaps(tmp_path):

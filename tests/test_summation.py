@@ -1,5 +1,8 @@
 """Difference tables, exact alternating sums, branch splits, damped evaluation."""
 
+import cmath
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,8 @@ from pentafold import (
     required_exponent_cap,
     residue_class_abel,
 )
+from pentafold.pentagonal import signed_values
+from pentafold.summation import FloatRangeError
 
 MINUS_ROW = [1, 5, 12, 22, 35, 51, 70]
 PLUS_ROW = [2, 7, 15, 26, 40, 57, 77]
@@ -163,6 +168,39 @@ def test_abel_decay_with_matching_caps():
                 near = abs(abel_evaluate(exponent, m, i, 0.999, 1e-9, exponent_cap=cap))
                 far = abs(abel_evaluate(exponent, m, i, 0.9, 1e-9, exponent_cap=cap))
                 assert near < far, (exponent, m, i, near, far)
+
+
+def test_abel_keeps_the_direct_formula_within_float_range():
+    # bit-identical to summing sign * float(v**exponent) * rho**v * root**v
+    for exponent, m, i, rho in ((0, 1, 0, 0.9), (3, 7, 3, 0.99), (40, 3, 1, 0.95)):
+        cap = required_exponent_cap(exponent, rho, 1e-9)
+        total = complex(1.0 if exponent == 0 else 0.0, 0.0)
+        for value, sign in signed_values(cap):
+            angle = 2.0 * math.pi / m * ((value * i) % m)
+            magnitude = float(value**exponent) * rho**value
+            total += sign * magnitude * complex(math.cos(angle), math.sin(angle))
+        assert abel_evaluate(exponent, m, i, rho) == total
+
+
+def test_abel_log_domain_terms_match_exact_sum():
+    # at rho = 0.74 the largest terms sit near value 400, where float(value**120)
+    # overflows, so the log-domain magnitudes carry the sum
+    for rho in (0.74, 0.5):
+        cap = required_exponent_cap(120, rho, 1e-9)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = sum(sign * Decimal(v) ** 120 * Decimal(rho) ** v for v, sign in signed_values(cap))
+        got = abel_evaluate(120, 2, 0, rho, exponent_cap=cap)
+        assert cmath.isfinite(got)
+        assert abs(Decimal(got.real) / exact - 1) < Decimal("1e-10")
+
+
+def test_abel_beyond_float_range_raises_typed_error():
+    with pytest.raises(FloatRangeError):
+        abel_evaluate(120, 2, 0, 0.9)
+    with pytest.raises(FloatRangeError):
+        residue_class_abel(130, 4, 1, 0.9)
+    assert issubclass(FloatRangeError, ValueError)
 
 
 def test_abel_deterministic_for_fixed_cap():
