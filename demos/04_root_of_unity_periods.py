@@ -26,8 +26,8 @@ def render_block(m):
 
 
 print("Fifth roots of unity in trigonometric form:")
-for root in roots_of_unity(5):
-    print(f"  i={root.i}:  {root.re:+.6f} {root.im:+.6f}i")
+for i, root in enumerate(roots_of_unity(5)):
+    print(f"  i={i}:  {root.real:+.6f} {root.imag:+.6f}i")
 print()
 
 for m in (2, 3, 5):

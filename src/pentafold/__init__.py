@@ -34,7 +34,6 @@ from .cyclotomic import (
     BasisCancellationReport,
     CycVec,
     PeriodCancellationReport,
-    RootOfUnity,
     partial_sum_aggregate,
     period_profile,
     residue_substream,
@@ -59,51 +58,3 @@ from .summation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Branch",
-    "PentagonalTerm",
-    "differences",
-    "interpolated_sequence",
-    "is_pentagonal",
-    "iter_terms",
-    "pentagonal",
-    "term_stream",
-    "SigmaTable",
-    "load_table",
-    "recurrence_terms",
-    "save_table",
-    "sigma_brute",
-    "sigma_recurrence",
-    "sigma_table",
-    "DenseSeries",
-    "elementary_symmetric",
-    "euler_product",
-    "multiply_truncated",
-    "pentagonal_series",
-    "power_sums",
-    "BasisCancellationReport",
-    "CycVec",
-    "PeriodCancellationReport",
-    "RootOfUnity",
-    "partial_sum_aggregate",
-    "period_profile",
-    "residue_substream",
-    "roots_of_unity",
-    "substitute_stream",
-    "verify_basis_cancellation",
-    "verify_period_cancellation",
-    "zero_vector",
-    "HARD_EXPONENT_CAP",
-    "DifferenceTable",
-    "NonPolynomialSequenceError",
-    "PowerSumSplit",
-    "TruncationInfeasibleError",
-    "abel_evaluate",
-    "difference_table",
-    "euler_sum_alternating",
-    "pentagonal_power_sum",
-    "required_exponent_cap",
-    "residue_class_abel",
-    "__version__",
-]

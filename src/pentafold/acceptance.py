@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import (
-    partial_sum_aggregate,
     period_profile,
     verify_basis_cancellation,
     verify_period_cancellation,
@@ -265,9 +264,3 @@ ALL_CHECKS = [
 def run_all() -> list[CriterionResult]:
     """Run every acceptance criterion in order."""
     return [check() for check in ALL_CHECKS]
-
-
-def aggregate_note(max_m: int = 12) -> list[tuple[int, tuple[int, ...]]]:
-    """Full-stream aggregates of leading partial sums, reported (not asserted)
-    beyond the pinned smallest orders."""
-    return [(m, partial_sum_aggregate(m).coords) for m in range(1, max_m + 1)]

@@ -34,40 +34,21 @@ class CycVec:
 
     def as_complex(self) -> complex:
         """Numeric image with alpha = exp(2*pi*sqrt(-1)/m)."""
-        total = complex(0.0, 0.0)
-        for r, c in enumerate(self.coords):
-            if c:
-                angle = 2.0 * math.pi * r / self.m
-                total += c * complex(math.cos(angle), math.sin(angle))
-        return total
+        return sum((c * root for c, root in zip(self.coords, roots_of_unity(self.m)) if c), 0j)
 
 
 def zero_vector(m: int) -> CycVec:
     return CycVec(m, (0,) * m)
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """The i-th root of x^m = 1: cos(2i*pi/m) + sqrt(-1)*sin(2i*pi/m)."""
-
-    m: int
-    i: int
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def roots_of_unity(m: int) -> list[RootOfUnity]:
-    """All m roots, indices i = 0..m-1."""
+def roots_of_unity(m: int) -> list[complex]:
+    """All m roots of x^m = 1 in trigonometric form, entry i being
+    cos(2i*pi/m) + sqrt(-1)*sin(2i*pi/m); the one table every float
+    evaluation at a root indexes."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
-    out = []
-    for i in range(m):
-        angle = 2.0 * math.pi * i / m
-        out.append(RootOfUnity(m, i, math.cos(angle), math.sin(angle)))
-    return out
+    step = 2.0 * math.pi / m
+    return [complex(math.cos(step * i), math.sin(step * i)) for i in range(m)]
 
 
 def iter_profile(m: int) -> Iterator[tuple[int, int]]:
@@ -182,13 +163,6 @@ class BasisCancellationReport:
     @property
     def passed(self) -> bool:
         return self.signed_sum == 0 and self.basis_sum == 0
-
-    def csv_line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"{self.m},{self.residue},{self.period_length},"
-            f"{self.signed_sum},{self.basis_sum},{verdict}"
-        )
 
 
 def verify_basis_cancellation(m: int, residue: int) -> BasisCancellationReport:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .cyclotomic import roots_of_unity
 from .pentagonal import Branch, pentagonal, signed_values
 
 HARD_EXPONENT_CAP = 10**6
@@ -118,14 +119,12 @@ def pentagonal_power_sum(exponent: int) -> PowerSumSplit:
     return PowerSumSplit(exponent, s, t, total)
 
 
-def required_exponent_cap(
-    exponent: int, rho: float, tolerance: float, hard_cap: int = HARD_EXPONENT_CAP
-) -> int:
+def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     """Smallest cap M with M**exponent * rho**M / (1 - rho) below tolerance/10.
 
     The search is restricted to M at or past the expression's peak, where it
     actually bounds the damped tail.  Raises TruncationInfeasibleError, naming
-    the needed cap, when the answer exceeds hard_cap.
+    the needed cap, when the answer exceeds HARD_EXPONENT_CAP.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
@@ -155,8 +154,8 @@ def required_exponent_cap(
             else:
                 low = mid
         needed = high
-    if needed > hard_cap:
-        raise TruncationInfeasibleError(needed, hard_cap)
+    if needed > HARD_EXPONENT_CAP:
+        raise TruncationInfeasibleError(needed, HARD_EXPONENT_CAP)
     return needed
 
 
@@ -167,32 +166,28 @@ def abel_evaluate(
     rho: float,
     tolerance: float = 1e-9,
     exponent_cap: int | None = None,
-    hard_cap: int = HARD_EXPONENT_CAP,
 ) -> complex:
     """Damped numeric value of the stream series of value**exponent at the
     point rho times the i-th m-th root of unity.
 
     Terms are summed in ascending exponent order (bit-identical results for a
     fixed cap), each as sign * value**exponent * rho**value * root**value with
-    the root power reduced mod m exactly before any trigonometry.  Truncation
+    the root power reduced mod m exactly to index roots_of_unity(m).  Truncation
     stops at the smallest cap clearing the tail bound, or at exponent_cap when
     the caller pins one (e.g. to compare different rho on equal footing).
     The k=0 constant contributes 1 when exponent is 0.  A magnitude whose
     value**exponent factor alone leaves float range is taken in the log
     domain instead; a term or total beyond float range raises FloatRangeError.
     """
-    if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
+    roots = roots_of_unity(m)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     if exponent_cap is not None:
         cap = exponent_cap
     else:
-        cap = required_exponent_cap(exponent, rho, tolerance, hard_cap)
+        cap = required_exponent_cap(exponent, rho, tolerance)
     total = complex(1.0, 0.0) if exponent == 0 else complex(0.0, 0.0)
-    step = 2.0 * math.pi / m
     for value, sign in signed_values(cap):
-        angle = step * ((value * i) % m)
         try:
             magnitude = float(value**exponent) * rho**value
         except OverflowError:
@@ -202,7 +197,7 @@ def abel_evaluate(
                 raise FloatRangeError(
                     f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
                 ) from None
-        total += sign * magnitude * complex(math.cos(angle), math.sin(angle))
+        total += sign * magnitude * roots[(value * i) % m]
     if not cmath.isfinite(total):
         raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range")
     return total
@@ -214,18 +209,16 @@ def residue_class_abel(
     residue: int,
     rho: float,
     tolerance: float = 1e-9,
-    hard_cap: int = HARD_EXPONENT_CAP,
 ) -> complex:
     """Root-of-unity filter: average the damped evaluations at all m roots,
     weighted by alpha**(-i*residue), isolating the stream terms whose exponent
     is congruent to residue mod m.  Expected to sink toward 0 as rho -> 1."""
     if not 0 <= residue < m:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    cap = required_exponent_cap(exponent, rho, tolerance, hard_cap)
+    cap = required_exponent_cap(exponent, rho, tolerance)
+    roots = roots_of_unity(m)
     total = complex(0.0, 0.0)
-    step = 2.0 * math.pi / m
     for i in range(m):
-        angle = -step * ((i * residue) % m)
-        weight = complex(math.cos(angle), math.sin(angle))
+        weight = roots[(i * residue) % m].conjugate()
         total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
     return total / m

@@ -208,6 +208,14 @@ def test_abel_large_terms_within_float_range(capsys):
         ["abel", "--m", "2", "--rho", "1.5"],
         ["verify-periods", "--max-m", "0"],
         ["no-such-command"],
+        ["seq", "--count", "0"],
+        ["verify-pnt", "--degree", "-1"],
+        ["verify-periods", "--periods", "0"],
+        ["verify-powersums", "--count", "0"],
+        ["abel", "--m", "2", "--i", "-1"],
+        ["abel", "--m", "2", "--r", "-1"],
+        ["abel", "--m", "2", "--baseline", "0"],
+        ["abel", "--m", "2", "--lambda", "-1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

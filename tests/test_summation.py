@@ -182,6 +182,18 @@ def test_abel_keeps_the_direct_formula_within_float_range():
         assert abel_evaluate(exponent, m, i, rho) == total
 
 
+def test_residue_filter_keeps_the_direct_formula():
+    # bit-identical to averaging the evaluations weighted by alpha**(-i*residue)
+    for exponent, m, residue, rho in ((0, 5, 2, 0.9), (3, 7, 3, 0.99), (2, 12, 5, 0.95)):
+        cap = required_exponent_cap(exponent, rho, 1e-9)
+        total = complex(0.0, 0.0)
+        for i in range(m):
+            x = 2.0 * math.pi / m * ((i * residue) % m)
+            weight = complex(math.cos(-x), math.sin(-x))
+            total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
+        assert residue_class_abel(exponent, m, residue, rho) == total / m
+
+
 def test_abel_log_domain_terms_match_exact_sum():
     # at rho = 0.74 the largest terms sit near value 400, where float(value**120)
     # overflows, so the log-domain magnitudes carry the sum
