@@ -37,6 +37,7 @@ from .cyclotomic import (
     partial_sum_aggregate,
     period_profile,
     residue_substream,
+    root_of_unity,
     roots_of_unity,
     substitute_stream,
     verify_basis_cancellation,

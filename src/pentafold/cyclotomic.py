@@ -41,14 +41,21 @@ def zero_vector(m: int) -> CycVec:
     return CycVec(m, (0,) * m)
 
 
-def roots_of_unity(m: int) -> list[complex]:
-    """All m roots of x^m = 1 in trigonometric form, entry i being
-    cos(2i*pi/m) + sqrt(-1)*sin(2i*pi/m); the one table every float
-    evaluation at a root indexes."""
+def root_of_unity(m: int, j: int) -> complex:
+    """alpha**j for alpha = exp(2*pi*sqrt(-1)/m) in trigonometric form, the
+    exponent reduced mod m first: cos(2j*pi/m) + sqrt(-1)*sin(2j*pi/m).  The
+    one formula every float evaluation at a root goes through."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
-    step = 2.0 * math.pi / m
-    return [complex(math.cos(step * i), math.sin(step * i)) for i in range(m)]
+    angle = 2.0 * math.pi / m * (j % m)
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def roots_of_unity(m: int) -> list[complex]:
+    """All m roots of x^m = 1, entry j being root_of_unity(m, j)."""
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
+    return [root_of_unity(m, j) for j in range(m)]
 
 
 def iter_profile(m: int) -> Iterator[tuple[int, int]]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import roots_of_unity
+from .cyclotomic import root_of_unity
 from .pentagonal import Branch, pentagonal, signed_values
 
 HARD_EXPONENT_CAP = 10**6
@@ -172,14 +172,13 @@ def abel_evaluate(
 
     Terms are summed in ascending exponent order (bit-identical results for a
     fixed cap), each as sign * value**exponent * rho**value * root**value with
-    the root power reduced mod m exactly to index roots_of_unity(m).  Truncation
+    the root power reduced mod m exactly before root_of_unity.  Truncation
     stops at the smallest cap clearing the tail bound, or at exponent_cap when
     the caller pins one (e.g. to compare different rho on equal footing).
     The k=0 constant contributes 1 when exponent is 0.  A magnitude whose
     value**exponent factor alone leaves float range is taken in the log
     domain instead; a term or total beyond float range raises FloatRangeError.
     """
-    roots = roots_of_unity(m)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     if exponent_cap is not None:
@@ -197,7 +196,7 @@ def abel_evaluate(
                 raise FloatRangeError(
                     f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
                 ) from None
-        total += sign * magnitude * roots[(value * i) % m]
+        total += sign * magnitude * root_of_unity(m, value * i)
     if not cmath.isfinite(total):
         raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range")
     return total
@@ -216,9 +215,8 @@ def residue_class_abel(
     if not 0 <= residue < m:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
     cap = required_exponent_cap(exponent, rho, tolerance)
-    roots = roots_of_unity(m)
     total = complex(0.0, 0.0)
     for i in range(m):
-        weight = roots[(i * residue) % m].conjugate()
+        weight = root_of_unity(m, i * residue).conjugate()
         total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
     return total / m

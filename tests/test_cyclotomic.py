@@ -11,6 +11,7 @@ from pentafold import (
     partial_sum_aggregate,
     period_profile,
     residue_substream,
+    root_of_unity,
     roots_of_unity,
     substitute_stream,
     verify_basis_cancellation,
@@ -51,6 +52,15 @@ def test_roots_of_unity_small_orders():
     assert (0.0, 1.0) in quartics and (0.0, -1.0) in quartics
     with pytest.raises(ValueError):
         roots_of_unity(0)
+
+
+def test_single_root_reduces_the_exponent_mod_m():
+    for m in range(1, 13):
+        table = roots_of_unity(m)
+        for j in range(-2 * m, 3 * m):
+            assert root_of_unity(m, j) == table[j % m]
+    with pytest.raises(ValueError):
+        root_of_unity(0, 1)
 
 
 def test_fifth_root_matches_radical_expression():

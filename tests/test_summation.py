@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -192,6 +193,23 @@ def test_residue_filter_keeps_the_direct_formula():
             weight = complex(math.cos(-x), math.sin(-x))
             total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
         assert residue_class_abel(exponent, m, residue, rho) == total / m
+
+
+def test_abel_cost_does_not_grow_with_the_root_order():
+    # only the roots the stream reaches are computed, never a table of all m
+    tracemalloc.start()
+    try:
+        value = abel_evaluate(0, 10**6, 1, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    # at m = 10**8 the root sits next to 1, so the sum is Euler's product at 0.9
+    product = 1.0
+    for k in range(1, 400):
+        product *= 1.0 - 0.9**k
+    assert abel_evaluate(0, 10**8, 1, 0.9) == pytest.approx(product, abs=1e-6)
+    assert abs(value - product) < 1e-3
 
 
 def test_abel_log_domain_terms_match_exact_sum():
