@@ -5,8 +5,8 @@ the test suite asserts them one by one."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import (
     period_profile,
@@ -45,8 +45,7 @@ PRINTED_BLOCKS = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -1,40 +1,19 @@
 """Command-line front end: every verification as a batch command with
 machine-readable reports and a 0/1/2 exit-code contract (pass / check failed /
-usage error)."""
+usage error).
+
+Each command handler imports the layers it runs when it runs, so a command
+loads only its own modules; the import inside the handler also reads the
+module's attribute at call time, never a copy taken at start-up.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from . import acceptance
-from .cyclotomic import (
-    partial_sum_aggregate,
-    substitute_stream,
-    verify_basis_cancellation,
-    verify_period_cancellation,
-)
 from .pentagonal import differences, interpolated_sequence, is_pentagonal, term_stream
-from .qseries import (
-    DenseSeries,
-    elementary_symmetric,
-    euler_product,
-    multiply_truncated,
-    pentagonal_series,
-    power_sums,
-)
-from .sigma import load_table, save_table, sigma_brute, sigma_table
-from .summation import (
-    TruncationInfeasibleError,
-    abel_evaluate,
-    pentagonal_power_sum,
-    required_exponent_cap,
-    residue_class_abel,
-)
 
 CACHE_ENV_VAR = "PENTAFOLD_CACHE"
 FORMATS = ("table", "csv", "json")
@@ -62,6 +41,8 @@ RADIUS = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 def render(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Rows to text: aligned table, headerless CSV, or a JSON array."""
     if fmt == "json":
+        import json
+
         return json.dumps(rows, indent=2)
     if fmt == "csv":
         return "\n".join(",".join(str(row[c]) for c in columns) for row in rows)
@@ -72,7 +53,8 @@ def render(rows: list[dict], columns: list[str], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _frac(value: Fraction) -> str:
+def _frac(value) -> str:
+    """A Fraction as numerator/denominator, or the bare numerator when whole."""
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
@@ -105,17 +87,13 @@ def cmd_seq(args) -> tuple[list[dict], list[str], bool]:
     return rows, ["position", "k", "branch", "value", "sign"], True
 
 
-def _resolve_cache(args) -> Path | None:
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return Path(override)
-    if args.cache:
-        return Path(args.cache)
-    return None
-
-
 def cmd_sigma(args) -> tuple[list[dict], list[str], bool]:
-    cache = _resolve_cache(args)
+    from pathlib import Path
+
+    from .sigma import load_table, save_table, sigma_table
+
+    path = os.environ.get(CACHE_ENV_VAR) or args.cache  # the variable overrides the flag
+    cache = Path(path) if path else None
     table = None
     if cache is not None and cache.exists():
         loaded = load_table(cache)
@@ -130,6 +108,8 @@ def cmd_sigma(args) -> tuple[list[dict], list[str], bool]:
 
 
 def cmd_verify_pnt(args) -> tuple[list[dict], list[str], bool]:
+    from .qseries import DenseSeries, euler_product, multiply_truncated, pentagonal_series
+
     product = euler_product(args.degree)
     sparse = pentagonal_series(args.degree)
     if args.dump:
@@ -152,13 +132,22 @@ def cmd_verify_pnt(args) -> tuple[list[dict], list[str], bool]:
 
 
 def cmd_verify_periods(args) -> tuple[list[dict], list[str], bool]:
+    from .cyclotomic import (
+        partial_sum_aggregate,
+        period_profile,
+        substitute_profile,
+        verify_basis_cancellation,
+        verify_period_cancellation,
+    )
+
     rows = []
     all_ok = True
     for m in range(1, args.max_m + 1):
-        block = verify_period_cancellation(m, args.periods)
-        aggregate = partial_sum_aggregate(m)
-        substitution_zero = substitute_stream(m, 1, 4 * m).is_zero
-        float_ok = all(abs(substitute_stream(m, i, 4 * m).as_complex()) < 1e-9 for i in range(m))
+        block = verify_period_cancellation(m, args.periods)  # scans the stream itself
+        profile = period_profile(m)  # the first 4m terms, read by every check below
+        aggregate = partial_sum_aggregate(m, profile)
+        substitution_zero = substitute_profile(m, 1, profile).is_zero
+        float_ok = all(abs(substitute_profile(m, i, profile).as_complex()) < 1e-9 for i in range(m))
         ok = block.passed and substitution_zero and float_ok
         all_ok &= ok
         rows.append(
@@ -172,7 +161,7 @@ def cmd_verify_periods(args) -> tuple[list[dict], list[str], bool]:
             }
         )
         for r in range(m):
-            basis = verify_basis_cancellation(m, r)
+            basis = verify_basis_cancellation(m, r, profile)
             all_ok &= basis.passed
             rows.append(
                 {
@@ -188,6 +177,9 @@ def cmd_verify_periods(args) -> tuple[list[dict], list[str], bool]:
 
 
 def cmd_verify_powersums(args) -> tuple[list[dict], list[str], bool]:
+    from .qseries import elementary_symmetric, euler_product, power_sums
+    from .sigma import sigma_brute
+
     series = euler_product(args.count)
     e = elementary_symmetric(series, args.count)
     p = power_sums(series, args.count)
@@ -210,6 +202,8 @@ def cmd_verify_powersums(args) -> tuple[list[dict], list[str], bool]:
 
 
 def cmd_sum(args) -> tuple[list[dict], list[str], bool]:
+    from .summation import pentagonal_power_sum
+
     split = pentagonal_power_sum(args.exponent)
     row = {
         "lambda": args.exponent,
@@ -221,6 +215,8 @@ def cmd_sum(args) -> tuple[list[dict], list[str], bool]:
 
 
 def cmd_abel(args) -> tuple[list[dict], list[str], bool]:
+    from .summation import abel_evaluate, required_exponent_cap, residue_class_abel
+
     if args.residue is not None:
         point = f"r{args.residue}"
         near = abs(residue_class_abel(args.exponent, args.m, args.residue, args.rho, args.tolerance))
@@ -244,7 +240,9 @@ def cmd_abel(args) -> tuple[list[dict], list[str], bool]:
 
 
 def cmd_report(args) -> tuple[list[dict], list[str], bool]:
-    results = acceptance.run_all()
+    from .acceptance import run_all
+
+    results = run_all()
     rows = [
         {
             "criterion": res.number,
@@ -317,6 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _infeasible_truncation() -> type:
+    """The summation error that is a usage error too.  An except clause
+    evaluates its classes only once something is raised, so a command that
+    never reaches summation does not import it for this."""
+    from .summation import TruncationInfeasibleError
+
+    return TruncationInfeasibleError
+
+
 HANDLERS = {
     "seq": cmd_seq,
     "sigma": cmd_sigma,
@@ -336,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--r must lie in 0..m-1")
     try:
         rows, columns, passed = HANDLERS[args.command](args)
-    except (ValueError, TruncationInfeasibleError, OSError) as exc:
+    except (ValueError, OSError, _infeasible_truncation()) as exc:
         print(f"pentafold: {exc}", file=sys.stderr)
         return 2
     if args.command == "sum" and args.format == "table":

@@ -6,27 +6,47 @@ substreams, and their running partial sums."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import cycle, islice
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .pentagonal import iter_signed_values
 
 
-@dataclass(frozen=True)
 class CycVec:
     """Integer coordinates on the powers alpha^0 .. alpha^(m-1) of a primitive
     m-th root alpha; exponent arithmetic happens mod m before anything lands
-    here, so the representation is exact."""
+    here, so the representation is exact.  Immutable; equal vectors compare
+    and hash equal."""
 
-    m: int
-    coords: tuple[int, ...]
+    __slots__ = ("m", "coords")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"order must be positive, got {self.m}")
-        if len(self.coords) != self.m:
-            raise ValueError(f"need exactly {self.m} coordinates, got {len(self.coords)}")
+    def __init__(self, m: int, coords: tuple[int, ...]) -> None:
+        if m < 1:
+            raise ValueError(f"order must be positive, got {m}")
+        if len(coords) != m:
+            raise ValueError(f"need exactly {m} coordinates, got {len(coords)}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.coords) == (other.m, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.coords))
+
+    def __repr__(self) -> str:
+        return f"CycVec(m={self.m!r}, coords={self.coords!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return CycVec, (self.m, self.coords)
 
     @property
     def is_zero(self) -> bool:
@@ -82,14 +102,20 @@ def substitute_stream(m: int, i: int, term_count: int) -> CycVec:
         raise ValueError(f"term count must be positive, got {term_count}")
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
+    return substitute_profile(m, i, islice(iter_profile(m), term_count))
+
+
+def substitute_profile(m: int, i: int, profile: Iterable[tuple[int, int]]) -> CycVec:
+    """Image of the given (sign, residue mod m) stream positions after writing
+    the i-th m-th root in place of x.  On period_profile(m) this is
+    substitute_stream(m, i, 4 * m), without scanning the stream again."""
     coords = [0] * m
-    for sign, residue in islice(iter_profile(m), term_count):
+    for sign, residue in profile:
         coords[(residue * i) % m] += sign
     return CycVec(m, tuple(coords))
 
 
-@dataclass(frozen=True)
-class PeriodCancellationReport:
+class PeriodCancellationReport(NamedTuple):
     """Outcome of checking consecutive 4m-term blocks of the stream."""
 
     m: int
@@ -134,11 +160,13 @@ def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport
     return PeriodCancellationReport(m, periods, block_length, tuple(violations))
 
 
-def _block_signs(m: int, residue: int) -> list[int]:
+def _block_signs(m: int, residue: int, profile: list[tuple[int, int]] | None = None) -> list[int]:
     """Signs of the residue class within one 4m block, in stream order."""
     if not 0 <= residue < m:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    return [sign for sign, r in period_profile(m) if r == residue]
+    if profile is None:
+        profile = period_profile(m)
+    return [sign for sign, r in profile if r == residue]
 
 
 def residue_substream(m: int, residue: int, count: int) -> list[int]:
@@ -154,8 +182,7 @@ def residue_substream(m: int, residue: int, count: int) -> list[int]:
     return list(islice(cycle(block), count))
 
 
-@dataclass(frozen=True)
-class BasisCancellationReport:
+class BasisCancellationReport(NamedTuple):
     """One residue class: its sign period, the running partial sums over one
     period (the basis), and the two cancellation totals."""
 
@@ -172,12 +199,18 @@ class BasisCancellationReport:
         return self.signed_sum == 0 and self.basis_sum == 0
 
 
-def verify_basis_cancellation(m: int, residue: int) -> BasisCancellationReport:
+def verify_basis_cancellation(
+    m: int, residue: int, profile: list[tuple[int, int]] | None = None
+) -> BasisCancellationReport:
     """Find the smallest sign period L of the residue substream by search (the
     classes have different sub-periods, so nothing is assumed), then check that
     one period sums to zero and that its L running partial sums sum to zero
-    (zero mean partial sum, the averaging reading of the cancellation)."""
-    block = _block_signs(m, residue)
+    (zero mean partial sum, the averaging reading of the cancellation).
+
+    A caller checking every class of one m passes period_profile(m) as profile,
+    so the block is read from the stream once rather than once per class.
+    """
+    block = _block_signs(m, residue, profile)
     if not block:
         return BasisCancellationReport(m, residue, 0, (), (), 0, 0)
     window = block * 3
@@ -197,15 +230,16 @@ def verify_basis_cancellation(m: int, residue: int) -> BasisCancellationReport:
     )
 
 
-def partial_sum_aggregate(m: int) -> CycVec:
-    """Coordinate-wise sum of the 4m leading partial sums of one stream block.
+def partial_sum_aggregate(m: int, profile: list[tuple[int, int]] | None = None) -> CycVec:
+    """Coordinate-wise sum of the 4m leading partial sums of one stream block;
+    profile, when the caller holds it already, is period_profile(m).
 
     This aggregate is reported alongside the period checks rather than
     asserted in general; only the smallest cases are pinned down elsewhere.
     """
     coords = [0] * m
     running = [0] * m
-    for sign, residue in period_profile(m):
+    for sign, residue in period_profile(m) if profile is None else profile:
         running[residue] += sign
         for r in range(m):
             coords[r] += running[r]

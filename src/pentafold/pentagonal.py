@@ -7,12 +7,13 @@ order, into 0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, ...; attaching the sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import islice, takewhile
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Branch(Enum):
@@ -22,8 +23,7 @@ class Branch(Enum):
     PLUS = "plus"    # (3k^2 + k) / 2
 
 
-@dataclass(frozen=True)
-class PentagonalTerm:
+class PentagonalTerm(NamedTuple):
     """One signed series term, sign * x**value, at index k on one branch."""
 
     k: int
@@ -96,6 +96,8 @@ def interpolated_sequence(count: int) -> list[Fraction]:
     The inserted value after pair k is triangular(3k+1)/3, which turns the
     whole sequence into consecutive triangular numbers scaled by 1/3.
     """
+    from fractions import Fraction  # imported here so the rest of the module runs without it
+
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     out: list[Fraction] = []

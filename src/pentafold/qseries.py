@@ -4,20 +4,39 @@ symmetric functions and power sums of the reciprocal roots."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pentagonal import signed_values
 
 
-@dataclass(frozen=True)
 class DenseSeries:
-    """coeffs[d] is the coefficient of x**d, for 0 <= d <= degree_cap."""
+    """coeffs[d] is the coefficient of x**d, for 0 <= d <= degree_cap.
+    Immutable; equal series compare and hash equal."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"DenseSeries(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return DenseSeries, (self.coeffs,)
 
     @property
     def degree_cap(self) -> int:

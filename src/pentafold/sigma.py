@@ -4,19 +4,18 @@ subtrahends with its boundary rule (a subtrahend hitting n contributes n)."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .pentagonal import signed_values
 from .qseries import pentagonal_series, power_sums
 
 
-@dataclass
 class SigmaTable:
     """sigma(1..max_n), where sigma(n) sums all divisors of n, n included."""
 
-    max_n: int
-    values: list[int]  # values[n] = sigma(n); index 0 is an unused sentinel
+    def __init__(self, max_n: int, values: list[int]) -> None:
+        self.max_n = max_n
+        self.values = values  # values[n] = sigma(n); index 0 is an unused sentinel
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.max_n:

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cyclotomic import root_of_unity
 from .pentagonal import Branch, pentagonal, signed_values
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 HARD_EXPONENT_CAP = 10**6
 
@@ -36,8 +37,7 @@ class TruncationInfeasibleError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(NamedTuple):
     """Row 0 is the input sequence; row d+1 holds the forward differences of
     row d; the final row is the first all-zero one."""
 
@@ -78,6 +78,8 @@ def euler_sum_alternating(seq: Sequence) -> Fraction:
     """Exact value assigned to seq[0] - seq[1] + seq[2] - ...: the leading
     entry of difference row d contributes (-1)**d / 2**(d+1), and the sum is
     finite because the rows vanish."""
+    from fractions import Fraction  # imported here so the damped sums run without it
+
     table = difference_table(seq)
     total = Fraction(0)
     for d, lead in enumerate(table.leading_entries()):
@@ -86,8 +88,7 @@ def euler_sum_alternating(seq: Sequence) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class PowerSumSplit:
+class PowerSumSplit(NamedTuple):
     """The two branch sums s and t for one exponent, plus the full-series total
     (the k=0 constant is folded back in at exponent 0)."""
 
@@ -128,7 +129,7 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:  # written so that NaN fails too
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     bound = tolerance / 10.0
     log_rho = math.log(rho)

@@ -188,6 +188,14 @@ def test_abel_beyond_float_range_is_a_usage_error(capsys):
     assert "float range" in captured.err
 
 
+def test_nan_tolerance_is_a_usage_error(capsys):
+    code = main(["abel", "--m", "2", "--i", "1", "--lambda", "1", "--tolerance", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "pentafold: tolerance must be positive, got nan\n"
+
+
 def test_abel_large_terms_within_float_range(capsys):
     # the largest term is about e**498: finite, though 1272**120 alone is not
     code, out = run_cli(

@@ -13,6 +13,7 @@ from pentafold import (
     residue_substream,
     root_of_unity,
     roots_of_unity,
+    substitute_profile,
     substitute_stream,
     verify_basis_cancellation,
     verify_period_cancellation,
@@ -208,6 +209,16 @@ def test_basis_cancellation_all_small_orders():
         for r in range(m):
             report = verify_basis_cancellation(m, r)
             assert report.passed, report
+
+
+def test_checks_on_a_held_block_match_the_stream_scans():
+    for m in range(1, 13):
+        profile = period_profile(m)
+        assert partial_sum_aggregate(m, profile) == partial_sum_aggregate(m)
+        for i in range(m):
+            assert substitute_profile(m, i, profile) == substitute_stream(m, i, 4 * m)
+        for r in range(m):
+            assert verify_basis_cancellation(m, r, profile) == verify_basis_cancellation(m, r)
 
 
 def test_partial_sum_aggregate_pinned_cases():

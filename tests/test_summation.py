@@ -124,6 +124,12 @@ def test_required_cap_monotone_in_tolerance():
     assert loose <= tight
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan])
+def test_required_cap_rejects_a_tolerance_that_is_not_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        required_exponent_cap(1, 0.99, tolerance)
+
+
 def test_required_cap_infeasible_names_needed_value():
     with pytest.raises(TruncationInfeasibleError) as exc:
         required_exponent_cap(1, 0.9999999, 1e-9)
