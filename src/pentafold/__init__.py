@@ -26,6 +26,8 @@ from .pentagonal import (
 _LAZY = {
     "sigma": (
         "SigmaTable",
+        "extend_table",
+        "first_wrong_sigma",
         "load_table",
         "recurrence_terms",
         "save_table",

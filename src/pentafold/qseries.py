@@ -4,6 +4,8 @@ symmetric functions and power sums of the reciprocal roots."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .pentagonal import signed_values
 
 
@@ -109,7 +111,7 @@ def elementary_symmetric(series: DenseSeries, count: int) -> list[int]:
     return [-c if k % 2 else c for k, c in enumerate(series.coeffs[1 : count + 1], start=1)]
 
 
-def power_sums(series: DenseSeries, count: int) -> list[int]:
+def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> list[int]:
     """p_1..p_count of the reciprocal roots, exact integers throughout.
 
     Newton's identities in coefficient form, p_k = -k*a_k - sum over j < k of
@@ -117,13 +119,19 @@ def power_sums(series: DenseSeries, count: int) -> list[int]:
     nonzero a_j are visited, so the cost is O(count * nonzeros): O(n sqrt n)
     on the pentagonal series, where the -k*a_k term is the recurrence's
     boundary rule (a subtrahend hitting k contributes k).
+
+    known, if given, is taken as p_1..p_n0 and the identities resume at
+    n0 + 1, so extending a list costs O((count - n0) * nonzeros).  It is
+    trusted as given: a wrong prefix gives wrong sums after it.
     """
     _require_monic(series, count)
+    if len(known) > count:
+        raise ValueError(f"{len(known)} known power sums exceed count {count}")
     a = series.coeffs
     support = [(j, c) for j, c in series.nonzero()[1:] if j <= count]
-    p = [0] * (count + 1)
-    live = 0  # support[:live] holds the degrees j < k
-    for k in range(1, count + 1):
+    p = [0, *known] + [0] * (count - len(known))
+    live = sum(1 for j, _ in support if j <= len(known))  # support[:live] holds the degrees j < k
+    for k in range(len(known) + 1, count + 1):
         if live < len(support) and support[live][0] < k:
             live += 1
         p[k] = -k * a[k] - sum([c * p[k - j] for j, c in support[:live]])

@@ -1,10 +1,16 @@
 """CLI behavior: pinned outputs, formats, cache handling, exit codes."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pentafold import save_table, sigma_table
 from pentafold.cli import main
 
 
@@ -58,10 +64,16 @@ def test_sigma_cache_written_and_read(tmp_path, capsys):
     cache = tmp_path / "sigma.csv"
     run_cli(capsys, "sigma", "--max", "9", "--cache", str(cache))
     assert cache.read_text(encoding="ascii").splitlines()[:2] == ["1,1", "2,3"]
-    # poison the cache: the next run must serve the cached values, not recompute
+    # poison the cache: the certificate must refuse it and leave the file alone
     cache.write_text("1,999\n2,3\n3,4\n", encoding="ascii")
-    _, out = run_cli(capsys, "sigma", "--max", "3", "--cache", str(cache), "--format", "csv")
-    assert out.strip().splitlines()[0] == "1,999"
+    before = cache.read_bytes()
+    code = main(["sigma", "--max", "3", "--cache", str(cache), "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "n=1 holds 999" in captured.err
+    assert cache.read_bytes() == before
 
 
 def test_sigma_cache_extends_when_too_short(tmp_path, capsys):
@@ -70,6 +82,45 @@ def test_sigma_cache_extends_when_too_short(tmp_path, capsys):
     _, out = run_cli(capsys, "sigma", "--max", "4", "--cache", str(cache), "--format", "csv")
     assert out.strip().splitlines() == ["1,1", "2,3", "3,4", "4,7"]
     assert len(cache.read_text(encoding="ascii").splitlines()) == 4
+
+
+@pytest.mark.parametrize("method", ["recurrence", "brute"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_extended_cache_matches_a_cold_build(tmp_path, capsys, monkeypatch, via_env, method):
+    def sigma(cache, n):
+        argv = ["sigma", "--max", str(n), "--method", method, "--format", "json"]
+        if via_env:
+            monkeypatch.setenv("PENTAFOLD_CACHE", str(cache))
+        else:
+            argv += ["--cache", str(cache)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        return out
+
+    cold, short = tmp_path / "cold.csv", tmp_path / "short.csv"
+    expected = sigma(cold, 700)
+    sigma(short, 250)
+    assert sigma(short, 700) == expected
+    assert short.read_bytes() == cold.read_bytes()
+
+
+def test_certificate_covers_served_rows_and_a_table_to_extend(tmp_path, capsys):
+    cache = tmp_path / "sigma.csv"
+    run_cli(capsys, "sigma", "--max", "12", "--cache", str(cache))
+    lines = cache.read_text(encoding="ascii").splitlines()
+    lines[8] = "9,14"  # sigma(9) is 13
+    cache.write_text("\n".join(lines) + "\n", encoding="ascii")
+    before = cache.read_bytes()
+    code, out = run_cli(capsys, "sigma", "--max", "8", "--cache", str(cache), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "8,15"
+    for top in ("12", "20"):
+        code = main(["sigma", "--max", top, "--cache", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"pentafold: {cache}: record n=9 holds 14, but sigma(9) = 13"]
+        assert cache.read_bytes() == before
 
 
 def test_cache_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
@@ -263,3 +314,29 @@ def test_report_runs_all_criteria(capsys):
     assert len(lines) == 11
     assert all(",PASS," in line for line in lines)
     assert code == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    method=st.sampled_from(["recurrence", "brute"]),
+    cache=st.sampled_from(["absent", "short", "long"]),
+    data=st.data(),
+)
+def test_sigma_json_equals_the_library_table(n, method, cache, data):
+    argv = ["sigma", "--max", str(n), "--method", method, "--format", "json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if cache != "absent":
+            path = Path(tmp) / "sigma.csv"
+            held = data.draw(st.integers(0, n - 1) if cache == "short" else st.integers(n, n + 500))
+            if held:
+                save_table(sigma_table(held), path)
+            else:
+                path.write_bytes(b"")
+            argv += ["--cache", str(path)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    table = sigma_table(n, method)
+    assert json.loads(out.getvalue()) == [{"n": k, "sigma": table[k]} for k in range(1, n + 1)]

@@ -175,6 +175,24 @@ def test_power_sums_match_dense_newton(case):
     assert power_sums(series, count) == newton_reference(series.coeffs, count)
 
 
+def test_power_sums_resume_from_a_known_prefix():
+    series = pentagonal_series(400)
+    cold = power_sums(series, 400)
+    # prefixes ending just before, on and after nonzero degrees 1, 2, 5, 7, 12, 15
+    for n0 in (0, 1, 2, 4, 5, 6, 7, 12, 15, 16, 399, 400):
+        assert power_sums(series, 400, known=cold[:n0]) == cold
+    with pytest.raises(ValueError):
+        power_sums(series, 400, known=cold + [0])
+
+
+@given(st.one_of(monic_series(sparse=True), monic_series(sparse=False)), st.data())
+def test_power_sums_resume_matches_cold_on_random_series(case, data):
+    series, count = case
+    cold = power_sums(series, count)
+    n0 = data.draw(st.integers(min_value=0, max_value=count))
+    assert power_sums(series, count, known=cold[:n0]) == cold
+
+
 def test_symmetric_function_domain_errors():
     series = euler_product(5)
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from pentafold import (
+    extend_table,
+    first_wrong_sigma,
     is_pentagonal,
     load_table,
     recurrence_terms,
@@ -89,9 +91,61 @@ def test_table_methods_agree():
     assert brute.values == recurrence.values
 
 
-def test_recurrence_table_matches_divisor_sieve_at_scale():
+def test_brute_sieve_matches_trial_division():
+    limit = 5000
+    assert sigma_table(limit, "brute").values[1:] == [sigma_brute(n) for n in range(1, limit + 1)]
+
+
+def test_brute_sieve_matches_recurrence_at_ten_thousand():
+    assert sigma_table(10**4, "brute").values == sigma_table(10**4, "recurrence").values
+
+
+@pytest.fixture(scope="module")
+def recurrence_30k():
+    return sigma_table(3 * 10**4, "recurrence")
+
+
+def test_recurrence_table_matches_divisor_sieve_at_scale(recurrence_30k):
     limit = 3 * 10**4
-    assert sigma_table(limit, "recurrence").values == divisor_sieve(limit)
+    assert recurrence_30k.values == divisor_sieve(limit)
+
+
+def test_certificate_passes_the_recurrence_at_scale(recurrence_30k):
+    assert first_wrong_sigma(recurrence_30k.values, recurrence_30k.max_n) is None
+
+
+@pytest.mark.slow
+def test_certificate_passes_the_recurrence_at_a_million():
+    table = sigma_table(10**6, "recurrence")
+    assert first_wrong_sigma(table.values, table.max_n) is None
+
+
+def test_certificate_finds_a_planted_error_at_every_small_n():
+    values = divisor_sieve(500)
+    assert first_wrong_sigma(values, 500) is None
+    for n in range(1, 501):
+        planted = list(values)
+        planted[n] += 1
+        assert first_wrong_sigma(planted, 500) == n
+
+
+def test_certificate_finds_a_planted_error_at_a_large_prime():
+    values = sigma_table(10**4, "brute").values
+    values[9973] += 1
+    assert first_wrong_sigma(values, 10**4) == 9973
+    assert first_wrong_sigma(values, 9972) is None  # rows beyond upto are not read
+
+
+def test_certificate_of_no_rows_passes():
+    assert first_wrong_sigma([0], 0) is None
+
+
+def test_extend_resumes_the_recurrence():
+    full = sigma_table(2000)
+    for n0 in (1, 2, 5, 7, 100, 1999, 2000):
+        assert extend_table(sigma_table(n0), 2000).values == full.values
+    with pytest.raises(ValueError):
+        extend_table(full, 1999)
 
 
 def test_table_examples():
@@ -187,6 +241,15 @@ def test_load_rejects_gaps(tmp_path):
     path.write_text("1,1\n3,4\n", encoding="ascii")
     with pytest.raises(ValueError):
         load_table(path)
+
+
+def test_load_certifies_the_rows_it_is_asked_for(tmp_path):
+    path = tmp_path / "sigma.csv"
+    path.write_text("1,1\n2,3\n3,4\n4,8\n5,6\n", encoding="ascii")
+    assert load_table(path, rows=3).values == [0, 1, 3, 4, 8, 6]  # row 4 not certified
+    for rows in (4, 5, 99, None):
+        with pytest.raises(ValueError, match=r"n=4 holds 8, but sigma\(4\) = 7"):
+            load_table(path, rows=rows)
 
 
 def test_load_rejects_garbage(tmp_path):
