@@ -38,12 +38,29 @@ NON_NEGATIVE = _ranged(int, lambda v: v >= 0, "non-negative")
 RADIUS = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
+def _json_array(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2) byte for byte, for rows of scalar values,
+    each row in its own key order.  That call runs the pure-Python encoder;
+    this one joins the fields itself and encodes each key and value with
+    json's C-level functions, about twice as fast on large tables."""
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
+    encoders = {str: quote, int: int.__repr__, float: json.dumps}  # anything else: json.dumps
+
+    def encode(row: dict) -> str:
+        if not row:
+            return "  {}"
+        fields = [f"{quote(key)}: {encoders.get(type(value), json.dumps)(value)}" for key, value in row.items()]
+        return "  {\n    " + ",\n    ".join(fields) + "\n  }"
+
+    return "[\n" + ",\n".join(map(encode, rows)) + "\n]" if rows else "[]"
+
+
 def render(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Rows to text: aligned table, headerless CSV, or a JSON array."""
     if fmt == "json":
-        import json
-
-        return json.dumps(rows, indent=2)
+        return _json_array(rows)
     if fmt == "csv":
         return "\n".join(",".join(str(row[c]) for c in columns) for row in rows)
     widths = {c: max(len(c), *(len(str(row[c])) for row in rows)) if rows else len(c) for c in columns}

@@ -1,21 +1,25 @@
 """Summation of the divergent series attached to the pentagonal stream: exact
 difference-table summation for alternating series with eventually-polynomial
 terms, the two-branch power-sum split, and damped numeric evaluation at roots
-of unity with a root-of-unity filter for residue classes."""
+of unity and on residue classes, from exact fixed-point class sums."""
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .cyclotomic import root_of_unity
-from .pentagonal import Branch, pentagonal, signed_values
+from .cyclotomic import root_of_unity_fixed
+from .pentagonal import Branch, pentagonal
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 HARD_EXPONENT_CAP = 10**6
+FLOAT_LOG_MAX = math.log(sys.float_info.max)
+# Bits kept past each tolerance bound of the damped sums, so that a value far
+# below the tolerance, as near rho -> 1, still comes out with its own digits.
+MARGIN_BITS = 64
 
 
 class NonPolynomialSequenceError(ValueError):
@@ -160,6 +164,108 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     return needed
 
 
+def _largest_log_term(exponent: int, rho: float, cap: int) -> tuple[float, int]:
+    """The largest exponent*ln(v) + v*ln(rho) over the stream values
+    1 <= v <= cap, with its v.  The expression rises up to v* = exponent /
+    -ln(rho) and falls after it, so the largest sits at a stream value next to
+    min(v*, cap): the k-th pair brackets it for k = isqrt(2*min(v*, cap)/3)."""
+    log_rho = math.log(rho)
+    k = max(1, math.isqrt(int(2 * min(exponent / -log_rho, cap) / 3)))
+    return max(
+        (exponent * math.log(v) + v * log_rho, v)
+        for n in (k, k + 1)
+        for v in ((3 * n * n - n) // 2, (3 * n * n + n) // 2)
+        if v <= cap
+    )
+
+
+def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> int:
+    """Fraction bits P for the damping factors rho**v, enough that the
+    fixed-point error of a damped sum over the stream values up to cap is at
+    most tolerance/10, and MARGIN_BITS more.
+
+    The bound: there are N <= 2*sqrt(cap) such values.  Each step to the next
+    value truncates once and multiplies by a gap factor that has been advanced,
+    truncating, fewer than N times, so it adds less than N units of 2**-P to
+    the error of rho**v, and every factor is off by less than N**2 units.  The
+    sum of sign * v**exponent * rho**v is then off by less than
+    N**3 * cap**exponent * 2**-P.  P is also at least the e of rho = a / 2**e,
+    which makes the first factor rho exact.
+    """
+    _, denominator = rho.as_integer_ratio()
+    exact_rho = denominator.bit_length() - 1
+    if cap < 1:
+        return exact_rho
+    needed = exponent * math.log2(cap) + 3 * math.log2(2 * math.isqrt(cap))
+    needed += math.log2(10) - math.log2(tolerance) + MARGIN_BITS
+    return max(exact_rho, math.ceil(needed) + 1)
+
+
+def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) -> dict[int, int]:
+    """Exact integer class sums of the damped stream in one pass: entry r is
+    the sum of sign * v**exponent * D_v over the stream values v <= cap with
+    v = r (mod m), D_v being rho**v times 2**bits, truncated; the constant term
+    adds 2**bits at r = 0 when exponent is 0.  A class no term reaches has no
+    entry, so the cost follows the cap, not m.
+
+    The gaps between stream values alternate 2k - 1 (up to the k-th MINUS
+    value) and k (up to the k-th PLUS value).  The gap factors rho**(2k - 1)
+    and rho**k advance by rho**2 and rho once per index, so each term costs
+    two truncating multiplies and no float.
+    """
+    numerator, denominator = rho.as_integer_ratio()
+    shift = denominator.bit_length() - 1
+    one = 1 << bits
+    sums = {0: one} if exponent == 0 else {}
+    to_minus = to_plus = numerator << (bits - shift)  # rho**1, exact
+    numerator_sq, shift_sq = numerator * numerator, 2 * shift
+    damp, value, sign, k = one, 0, -1, 1
+    while True:
+        for gap, factor in ((2 * k - 1, to_minus), (k, to_plus)):
+            value += gap
+            damp = damp * factor >> bits
+            if value > cap or not damp:  # past the cap, or every later factor is 0
+                return sums
+            r = value % m
+            sums[r] = sums.get(r, 0) + sign * value**exponent * damp
+        to_minus = to_minus * numerator_sq >> shift_sq
+        to_plus = to_plus * numerator >> shift
+        sign = -sign
+        k += 1
+
+
+def _damped_classes(
+    exponent: int, m: int, rho: float, tolerance: float, exponent_cap: int | None
+) -> tuple[int, dict[int, int]]:
+    """Validate, truncate, refuse a term beyond float range before any exact
+    work, then return the fixed-point bits and the class sums."""
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+    if exponent_cap is not None:
+        cap = exponent_cap
+    else:
+        cap = required_exponent_cap(exponent, rho, tolerance)
+    if exponent and cap >= 1:
+        log_term, value = _largest_log_term(exponent, rho, cap)
+        if log_term > FLOAT_LOG_MAX:
+            raise FloatRangeError(
+                f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
+            )
+    bits = fixed_point_bits(exponent, rho, cap, tolerance)
+    return bits, damped_class_sums(exponent, m, rho, cap, bits)
+
+
+def _to_complex(re: int, im: int, bits: int, rho: float) -> complex:
+    """re + sqrt(-1)*im over 2**bits, each part rounded once to a float."""
+    scale = 1 << bits
+    try:
+        return complex(re / scale, im / scale)
+    except OverflowError:
+        raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range") from None
+
+
 def abel_evaluate(
     exponent: int,
     m: int,
@@ -169,38 +275,39 @@ def abel_evaluate(
     exponent_cap: int | None = None,
 ) -> complex:
     """Damped numeric value of the stream series of value**exponent at the
-    point rho times the i-th m-th root of unity.
+    point rho times the i-th m-th root of unity alpha**i: the sum over the
+    classes r of C_r * 2**-P * alpha**(i*r), from damped_class_sums.
 
-    Terms are summed in ascending exponent order (bit-identical results for a
-    fixed cap), each as sign * value**exponent * rho**value * root**value with
-    the root power reduced mod m exactly before root_of_unity.  Truncation
-    stops at the smallest cap clearing the tail bound, or at exponent_cap when
-    the caller pins one (e.g. to compare different rho on equal footing).
-    The k=0 constant contributes 1 when exponent is 0.  A magnitude whose
-    value**exponent factor alone leaves float range is taken in the log
-    domain instead; a term or total beyond float range raises FloatRangeError.
+    Truncation stops at the smallest cap clearing the tail bound, or at
+    exponent_cap when the caller pins one (e.g. to compare different rho on
+    equal footing).  The classes are folded exactly by i*r mod m, and each
+    folded sum is multiplied by its root in fixed point, with enough bits that
+    the roots move the value by at most tolerance/10.  So the result is within
+    tolerance/10 (the fixed point) + tolerance/10 (the roots) of the damped sum
+    up to the cap, and within tolerance/10 more (the tail) of the whole damped
+    series, besides rounding each part once to a float.  Both fixed-point
+    bounds keep MARGIN_BITS to spare.  Cost: one pass over
+    the stream up to the cap and one root per folded class, at most min(m,
+    terms), so it does not grow with m.  A term or total beyond float range
+    raises FloatRangeError, the first before any exact work.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    if exponent_cap is not None:
-        cap = exponent_cap
-    else:
-        cap = required_exponent_cap(exponent, rho, tolerance)
-    total = complex(1.0, 0.0) if exponent == 0 else complex(0.0, 0.0)
-    for value, sign in signed_values(cap):
-        try:
-            magnitude = float(value**exponent) * rho**value
-        except OverflowError:
-            try:
-                magnitude = math.exp(exponent * math.log(value) + value * math.log(rho))
-            except OverflowError:
-                raise FloatRangeError(
-                    f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
-                ) from None
-        total += sign * magnitude * root_of_unity(m, value * i)
-    if not cmath.isfinite(total):
-        raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range")
-    return total
+    bits, sums = _damped_classes(exponent, m, rho, tolerance, exponent_cap)
+    folded: dict[int, int] = {}
+    for r, total in sums.items():
+        j = r * i % m
+        folded[j] = folded.get(j, 0) + total
+    # each root coordinate is within 2 units of 2**-extra, which moves the
+    # value by less than 4 * weight * 2**-(bits + extra) <= tolerance/10
+    weight = sum(map(abs, folded.values()))
+    needed = weight.bit_length() - bits + math.log2(40) - math.log2(tolerance) + MARGIN_BITS
+    extra = max(0, math.ceil(needed))
+    re = im = 0
+    for j, total in folded.items():
+        if total:
+            cos, sin = root_of_unity_fixed(m, j, extra)
+            re += total * cos
+            im += total * sin
+    return _to_complex(re, im, bits + extra, rho)
 
 
 def residue_class_abel(
@@ -210,14 +317,11 @@ def residue_class_abel(
     rho: float,
     tolerance: float = 1e-9,
 ) -> complex:
-    """Root-of-unity filter: average the damped evaluations at all m roots,
-    weighted by alpha**(-i*residue), isolating the stream terms whose exponent
-    is congruent to residue mod m.  Expected to sink toward 0 as rho -> 1."""
+    """Damped value of the stream terms whose exponent is congruent to residue
+    mod m: the class sum C_residue of damped_class_sums, read directly, within
+    the bounds abel_evaluate states (no roots involved).  Expected to sink
+    toward 0 as rho -> 1."""
     if not 0 <= residue < m:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    cap = required_exponent_cap(exponent, rho, tolerance)
-    total = complex(0.0, 0.0)
-    for i in range(m):
-        weight = root_of_unity(m, i * residue).conjugate()
-        total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
-    return total / m
+    bits, sums = _damped_classes(exponent, m, rho, tolerance, None)
+    return _to_complex(sums.get(residue, 0), 0, bits, rho)

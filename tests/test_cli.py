@@ -7,11 +7,11 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentafold import save_table, sigma_table
-from pentafold.cli import main
+from pentafold.cli import HANDLERS, build_parser, main, render
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -239,6 +239,40 @@ def test_abel_beyond_float_range_is_a_usage_error(capsys):
     assert "float range" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the benchmark's three edge requests: true values beyond float range
+        ["--lambda", "120", "--m", "2", "--rho", "0.9"],
+        ["--lambda", "150", "--m", "3", "--i", "1", "--rho", "0.9"],
+        ["--lambda", "130", "--m", "4", "--r", "1", "--rho", "0.9"],
+        ["--lambda", "10000", "--m", "3"],  # the tail bound needs a cap past 10**6
+        ["--lambda", "5000", "--m", "3", "--rho", "0.9"],  # a term near e**463000
+    ],
+)
+def test_abel_out_of_range_exits_two_with_one_line(capsys, argv):
+    code = main(["abel", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("pentafold: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_abel_near_one_prints_the_exact_value_not_rounding_noise(capsys):
+    # over the cap both radii share, the damped sums are 1.922483e-14 at 0.999
+    # and -8.6e-58 at 0.99; summing rounded float terms printed 8.394948e-07
+    # and 5.562165e-10 instead
+    code, out = run_cli(
+        capsys, "abel", "--lambda", "3", "--m", "1", "--rho", "0.999", "--baseline", "0.99", "--format", "csv"
+    )
+    fields = out.strip().split(",")
+    assert fields[4] == "1.922483e-14"
+    assert float(fields[6]) < 1e-9
+    passed = float(fields[4]) < float(fields[6])
+    assert (fields[5], code) == (("PASS", 0) if passed else ("FAIL", 1))
+
+
 def test_nan_tolerance_is_a_usage_error(capsys):
     code = main(["abel", "--m", "2", "--i", "1", "--lambda", "1", "--tolerance", "nan"])
     captured = capsys.readouterr()
@@ -340,3 +374,45 @@ def test_sigma_json_equals_the_library_table(n, method, cache, data):
     assert code == 0
     table = sigma_table(n, method)
     assert json.loads(out.getvalue()) == [{"n": k, "sigma": table[k]} for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "--count", "30"],
+        ["seq", "--count", "7", "--include-zero"],
+        ["seq", "--count", "12", "--differences"],
+        ["seq", "--count", "12", "--interpolated"],
+        ["seq", "--is-pentagonal", "26"],
+        ["seq", "--is-pentagonal", "13"],
+        ["sigma", "--max", "40"],
+        ["verify-pnt", "--degree", "40"],
+        ["verify-pnt", "--degree", "40", "--dump"],
+        ["verify-periods", "--max-m", "4"],
+        ["verify-powersums", "--count", "20"],
+        ["sum", "--lambda", "3"],
+        ["abel", "--lambda", "2", "--m", "3", "--i", "1"],
+        ["abel", "--lambda", "1", "--m", "2", "--r", "0", "--rho", "0.99"],
+        ["report"],
+    ],
+)
+def test_json_render_matches_the_standard_encoder_on_every_command(argv):
+    args = build_parser().parse_args(argv)
+    rows, columns, _ = HANDLERS[args.command](args)
+    assert render(rows, columns, "json") == json.dumps(rows, indent=2)
+
+
+SCALARS = st.one_of(
+    st.text(),  # non-ASCII, quotes, backslashes and control characters included
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),  # nan and the infinities included
+    st.booleans(),
+    st.none(),
+)
+
+
+@example([])
+@given(st.lists(st.dictionaries(st.text(), SCALARS, max_size=6), max_size=6))
+def test_json_render_matches_the_standard_encoder(rows):
+    assert render(rows, [], "json") == json.dumps(rows, indent=2)

@@ -5,9 +5,10 @@ import math
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentafold import (
@@ -22,13 +23,115 @@ from pentafold import (
     required_exponent_cap,
     residue_class_abel,
 )
+from pentafold import summation
+from pentafold.cyclotomic import root_of_unity_fixed
 from pentafold.pentagonal import signed_values
-from pentafold.summation import FloatRangeError
+from pentafold.summation import MARGIN_BITS, FloatRangeError, damped_class_sums, fixed_point_bits
 
 MINUS_ROW = [1, 5, 12, 22, 35, 51, 70]
 PLUS_ROW = [2, 7, 15, 26, 40, 57, 77]
 MINUS_SQUARES = [1, 25, 144, 484, 1225, 2601, 4900]
 PLUS_SQUARES = [4, 49, 225, 676, 1600, 3249, 5929]
+PRECISION = 60  # decimal digits of the exact references below
+
+
+def decimal_pi() -> Decimal:
+    """pi by Machin's formula, at the context precision."""
+
+    def atan_inverse(x: int) -> Decimal:
+        total = term = Decimal(1) / x
+        n, sign = 1, 1
+        while abs(term) > Decimal(10) ** -(PRECISION + 10):
+            term /= x * x
+            n += 2
+            sign = -sign
+            total += sign * term / n
+        return total
+
+    return 16 * atan_inverse(5) - 4 * atan_inverse(239)
+
+
+@lru_cache(maxsize=None)
+def decimal_root(m: int, j: int) -> tuple[Decimal, Decimal]:
+    """cos and sin of 2*j*pi/m by their Taylor series, to PRECISION digits."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION + 10
+        x = 2 * decimal_pi() * (j % m) / m
+        parts = [Decimal(0)] * 4  # the terms (ix)**k / k! land on 1, i, -1, -i
+        term, k = Decimal(1), 0
+        while abs(term) > Decimal(10) ** -(PRECISION + 10):
+            parts[k % 4] += term
+            k += 1
+            term = term * x / k
+        return +(parts[0] - parts[2]), +(parts[1] - parts[3])
+
+
+@lru_cache(maxsize=None)
+def exact_terms(exponent: int, rho: float, cap: int) -> tuple[tuple[int, Decimal], ...]:
+    """(v, sign * v**exponent * rho**v) over the stream values up to cap, with
+    the exact binary rho, to PRECISION digits."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        r = Decimal(rho)
+        return tuple((v, sign * Decimal(v) ** exponent * r**v) for v, sign in signed_values(cap))
+
+
+def exact_class_sums(exponent: int, m: int, rho: float, cap: int) -> list[Decimal]:
+    """The damped class sums up to cap, constant term included, to PRECISION digits."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        sums = [Decimal(int(exponent == 0))] + [Decimal(0)] * (m - 1)
+        for v, term in exact_terms(exponent, rho, cap):
+            sums[v % m] += term
+        return sums
+
+
+def exact_value(sums: list[Decimal], i: int) -> tuple[Decimal, Decimal]:
+    """Real and imaginary part of sum over r of sums[r] * alpha**(i*r)."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        re = im = Decimal(0)
+        for r, total in enumerate(sums):
+            cos, sin = decimal_root(len(sums), r * i)
+            re += total * cos
+            im += total * sin
+        return re, im
+
+
+def distance(got: complex, reference: tuple[Decimal, Decimal]) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        re, im = reference
+        return ((Decimal(got.real) - re) ** 2 + (Decimal(got.imag) - im) ** 2).sqrt()
+
+
+def assert_within(got: complex, reference: tuple[Decimal, Decimal], tolerance: float) -> None:
+    """|got - reference| within the bound abel_evaluate states for the sum up
+    to the cap, 2/10 of the tolerance with MARGIN_BITS to spare (so well
+    within the tolerance), plus one unit in the last place of |reference|: a
+    float is spaced that far from its neighbours, so no float does better."""
+    bound = Decimal(tolerance) / 5 / 2**MARGIN_BITS
+    spacing = math.ulp(float(abs(complex(float(reference[0]), float(reference[1])))))
+    assert distance(got, reference) <= bound + Decimal(spacing), (got, reference)
+
+
+def check_against_exact_sums(exponent: int, m: int, rho: float, tolerance: float) -> None:
+    """Every root and every residue class of one (exponent, m, rho), or, where
+    the tail bound needs a cap past HARD_EXPONENT_CAP, the refusal."""
+    try:
+        cap = required_exponent_cap(exponent, rho, tolerance)
+    except TruncationInfeasibleError:
+        with pytest.raises(TruncationInfeasibleError):
+            abel_evaluate(exponent, m, 0, rho, tolerance)
+        with pytest.raises(TruncationInfeasibleError):
+            residue_class_abel(exponent, m, 0, rho, tolerance)
+        return
+    sums = exact_class_sums(exponent, m, rho, cap)
+    for i in range(m):
+        assert_within(abel_evaluate(exponent, m, i, rho, tolerance), exact_value(sums, i), tolerance)
+    for residue in range(m):
+        got = residue_class_abel(exponent, m, residue, rho, tolerance)
+        assert_within(got, (sums[residue], Decimal(0)), tolerance)
 
 
 def test_difference_table_linear_case():
@@ -177,28 +280,80 @@ def test_abel_decay_with_matching_caps():
                 assert near < far, (exponent, m, i, near, far)
 
 
-def test_abel_keeps_the_direct_formula_within_float_range():
-    # bit-identical to summing sign * float(v**exponent) * rho**v * root**v
+def test_abel_is_within_tolerance_of_the_exact_sum():
     for exponent, m, i, rho in ((0, 1, 0, 0.9), (3, 7, 3, 0.99), (40, 3, 1, 0.95)):
         cap = required_exponent_cap(exponent, rho, 1e-9)
-        total = complex(1.0 if exponent == 0 else 0.0, 0.0)
-        for value, sign in signed_values(cap):
-            angle = 2.0 * math.pi / m * ((value * i) % m)
-            magnitude = float(value**exponent) * rho**value
-            total += sign * magnitude * complex(math.cos(angle), math.sin(angle))
-        assert abel_evaluate(exponent, m, i, rho) == total
+        reference = exact_value(exact_class_sums(exponent, m, rho, cap), i)
+        assert_within(abel_evaluate(exponent, m, i, rho), reference, 1e-9)
 
 
-def test_residue_filter_keeps_the_direct_formula():
-    # bit-identical to averaging the evaluations weighted by alpha**(-i*residue)
+def test_residue_filter_is_within_tolerance_of_the_exact_class_sum():
     for exponent, m, residue, rho in ((0, 5, 2, 0.9), (3, 7, 3, 0.99), (2, 12, 5, 0.95)):
         cap = required_exponent_cap(exponent, rho, 1e-9)
-        total = complex(0.0, 0.0)
-        for i in range(m):
-            x = 2.0 * math.pi / m * ((i * residue) % m)
-            weight = complex(math.cos(-x), math.sin(-x))
-            total += weight * abel_evaluate(exponent, m, i, rho, exponent_cap=cap)
-        assert residue_class_abel(exponent, m, residue, rho) == total / m
+        reference = exact_class_sums(exponent, m, rho, cap)[residue]
+        assert_within(residue_class_abel(exponent, m, residue, rho), (reference, Decimal(0)), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "exponent, m, i, rho, value",
+    [(3, 1, 0, 0.999, 1.92e-14), (4, 2, 1, 0.999, -1.06e-13), (3, 2, 1, 0.9999, 8.17e-15)],
+)
+def test_abel_near_one_is_within_tolerance_not_rounding_noise(exponent, m, i, rho, value):
+    # summing rounded float terms of size ~1e9 returned 8.39e-07, -3.23e-03 and
+    # 6.12e-04 here: every term's rounding error, not the value
+    cap = required_exponent_cap(exponent, rho, 1e-9)
+    re, im = exact_value(exact_class_sums(exponent, m, rho, cap), i)
+    assert float(re) == pytest.approx(value, rel=5e-3) and abs(im) < 1e-40
+    got = abel_evaluate(exponent, m, i, rho)
+    assert distance(got, (re, im)) <= Decimal("1e-9")
+
+
+@settings(max_examples=25, deadline=None)
+@example(3, 12, 0.999)  # class sums near 5e7 cancel to about 1e-13 at every root
+@example(4, 12, 0.999)  # class sums near 2e11
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+)
+def test_damped_values_are_within_tolerance_of_the_exact_sums(exponent, m, rho):
+    check_against_exact_sums(exponent, m, rho, 1e-9)
+
+
+@pytest.mark.slow
+def test_damped_values_are_within_tolerance_on_the_full_grid():
+    for exponent in range(7):
+        for rho in (0.3, 0.9, 0.99, 0.999, 0.9999):
+            for m in range(1, 13):
+                check_against_exact_sums(exponent, m, rho, 1e-9)
+
+
+def test_fixed_point_roots_are_within_two_units():
+    bits = 120
+    for m in range(1, 25):
+        for j in range(-m, 2 * m):
+            cos, sin = root_of_unity_fixed(m, j, bits)
+            exact_cos, exact_sin = decimal_root(m, j)
+            with localcontext() as ctx:
+                ctx.prec = PRECISION
+                assert abs(cos - exact_cos * 2**bits) < 2 and abs(sin - exact_sin * 2**bits) < 2
+    for m, j, root in ((1, 0, (1, 0)), (2, 1, (-1, 0)), (4, 1, (0, 1)), (8, 6, (0, -1)), (12, 9, (0, -1))):
+        assert root_of_unity_fixed(m, j, bits) == (root[0] << bits, root[1] << bits)
+
+
+def test_fixed_point_error_is_within_the_stated_bound():
+    exponent, m, rho, tolerance = 3, 12, 0.9999, 1e-9
+    cap = required_exponent_cap(exponent, rho, tolerance)
+    bits = fixed_point_bits(exponent, rho, cap, tolerance)
+    terms = len(signed_values(cap))
+    assert terms <= 2 * math.isqrt(cap)
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        bound = Decimal(terms**3 * cap**exponent) / 2**bits  # the bound fixed_point_bits states
+        assert bound <= Decimal(tolerance) / 10 / 2**MARGIN_BITS
+        sums = damped_class_sums(exponent, m, rho, cap, bits)
+        for residue, exact in enumerate(exact_class_sums(exponent, m, rho, cap)):
+            assert abs(Decimal(sums.get(residue, 0)) / 2**bits - exact) <= bound
 
 
 def test_abel_cost_does_not_grow_with_the_root_order():
@@ -237,6 +392,23 @@ def test_abel_beyond_float_range_raises_typed_error():
     with pytest.raises(FloatRangeError):
         residue_class_abel(130, 4, 1, 0.9)
     assert issubclass(FloatRangeError, ValueError)
+
+
+def test_a_term_beyond_float_range_is_refused_before_the_exact_pass(monkeypatch):
+    def exact_pass(*args):
+        raise AssertionError("the exact pass ran")
+
+    monkeypatch.setattr(summation, "damped_class_sums", exact_pass)
+    with pytest.raises(FloatRangeError):  # a term near e**463000
+        abel_evaluate(5000, 3, 0, 0.9)
+    with pytest.raises(FloatRangeError):
+        residue_class_abel(130, 4, 1, 0.9)
+
+
+def test_a_total_beyond_float_range_raises_typed_error():
+    # every term fits in a float; the class sum, -3.8e308, does not
+    with pytest.raises(FloatRangeError):
+        residue_class_abel(92, 7, 0, 0.985)
 
 
 def test_abel_deterministic_for_fixed_cap():
