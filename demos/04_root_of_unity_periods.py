@@ -9,9 +9,8 @@ zero over one period.
 
 from pentafold import (
     period_profile,
-    residue_substream,
     roots_of_unity,
-    substitute_stream,
+    substitute_profile,
     verify_basis_cancellation,
     verify_period_cancellation,
 )
@@ -33,7 +32,7 @@ print()
 for m in (2, 3, 5):
     print(f"One 4m-term block for m={m} (a stands for the chosen root):")
     print("  " + render_block(m))
-    image = substitute_stream(m, 1, 4 * m)
+    image = substitute_profile(m, 1, period_profile(m))
     print(f"  exact sum of the block as coordinates on a^0..a^{m-1}: {image.coords}")
     print()
 
@@ -43,9 +42,10 @@ print(f"  all per-residue sums zero, all profiles repeat: {all_pass}")
 print()
 
 print("Residue classes mod 5 (classes 3 and 4 never occur):")
+block = period_profile(5)
 for r in range(5):
-    signs = residue_substream(5, r, 8)
-    report = verify_basis_cancellation(5, r)
+    report = verify_basis_cancellation(5, r, block)
+    signs = (report.signs * 8)[:8]
     rendered = " ".join("+1" if s > 0 else "-1" for s in signs) if signs else "(empty)"
     print(f"  r={r}: signs {rendered}")
     print(f"        period {report.period_length}, partial sums {list(report.partial_sums)},"

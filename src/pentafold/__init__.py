@@ -49,14 +49,11 @@ _LAZY = {
         "PeriodCancellationReport",
         "partial_sum_aggregate",
         "period_profile",
-        "residue_substream",
         "root_of_unity",
         "roots_of_unity",
         "substitute_profile",
-        "substitute_stream",
         "verify_basis_cancellation",
         "verify_period_cancellation",
-        "zero_vector",
     ),
     "summation": (
         "HARD_EXPONENT_CAP",

@@ -161,25 +161,25 @@ def cmd_verify_periods(args) -> tuple[list[dict], list[str], bool]:
     rows = []
     all_ok = True
     for m in range(1, args.max_m + 1):
-        block = verify_period_cancellation(m, args.periods)  # scans the stream itself
-        profile = period_profile(m)  # the first 4m terms, read by every check below
-        aggregate = partial_sum_aggregate(m, profile)
-        substitution_zero = substitute_profile(m, 1, profile).is_zero
-        float_ok = all(abs(substitute_profile(m, i, profile).as_complex()) < 1e-9 for i in range(m))
-        ok = block.passed and substitution_zero and float_ok
+        periods = verify_period_cancellation(m, args.periods)  # scans the stream itself
+        block = period_profile(m)  # the first 4m terms, read by every check below
+        aggregate = partial_sum_aggregate(m, block)
+        substitution_zero = substitute_profile(m, 1, block).is_zero
+        float_ok = all(abs(substitute_profile(m, i, block).as_complex()) < 1e-9 for i in range(m))
+        ok = periods.passed and substitution_zero and float_ok
         all_ok &= ok
         rows.append(
             {
                 "m": m,
                 "r": "-",
-                "period_length": block.block_length,
-                "signed_sum": 0 if block.passed else len(block.violations),
+                "period_length": periods.block_length,
+                "signed_sum": 0 if periods.passed else len(periods.violations),
                 "basis_sum": max(abs(c) for c in aggregate.coords),
                 "verdict": "PASS" if ok else "FAIL",
             }
         )
         for r in range(m):
-            basis = verify_basis_cancellation(m, r, profile)
+            basis = verify_basis_cancellation(m, r, block)
             all_ok &= basis.passed
             rows.append(
                 {
@@ -333,15 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _infeasible_truncation() -> type:
-    """The summation error that is a usage error too.  An except clause
-    evaluates its classes only once something is raised, so a command that
-    never reaches summation does not import it for this."""
-    from .summation import TruncationInfeasibleError
-
-    return TruncationInfeasibleError
-
-
 HANDLERS = {
     "seq": cmd_seq,
     "sigma": cmd_sigma,
@@ -361,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--r must lie in 0..m-1")
     try:
         rows, columns, passed = HANDLERS[args.command](args)
-    except (ValueError, OSError, _infeasible_truncation()) as exc:
+    except (ValueError, OSError) as exc:
         print(f"pentafold: {exc}", file=sys.stderr)
         return 2
     if args.command == "sum" and args.format == "table":

@@ -1,52 +1,35 @@
 """Exact bookkeeping over formal integer combinations of the m-th roots of
 unity, the roots themselves in trigonometric form, and the cancellation checks
-on the signed pentagonal term stream: 4m-term period sums, per-residue sign
-substreams, and their running partial sums."""
+on the signed pentagonal term stream: the 4m-term block, proven to repeat, and
+the substitution, residue-class and partial-sum checks read from it."""
 
 from __future__ import annotations
 
 import math
-from itertools import cycle, islice
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .pentagonal import iter_signed_values
 
 
-class CycVec:
+class _CycVecFields(NamedTuple):
+    m: int
+    coords: tuple[int, ...]
+
+
+class CycVec(_CycVecFields):
     """Integer coordinates on the powers alpha^0 .. alpha^(m-1) of a primitive
     m-th root alpha; exponent arithmetic happens mod m before anything lands
-    here, so the representation is exact.  Immutable; equal vectors compare
-    and hash equal."""
+    here, so the representation is exact."""
 
-    __slots__ = ("m", "coords")
+    __slots__ = ()
 
-    def __init__(self, m: int, coords: tuple[int, ...]) -> None:
+    def __new__(cls, m: int, coords: tuple[int, ...]) -> CycVec:
         if m < 1:
             raise ValueError(f"order must be positive, got {m}")
         if len(coords) != m:
             raise ValueError(f"need exactly {m} coordinates, got {len(coords)}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.coords) == (other.m, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.coords))
-
-    def __repr__(self) -> str:
-        return f"CycVec(m={self.m!r}, coords={self.coords!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
-        return CycVec, (self.m, self.coords)
+        return super().__new__(cls, m, coords)
 
     @property
     def is_zero(self) -> bool:
@@ -55,10 +38,6 @@ class CycVec:
     def as_complex(self) -> complex:
         """Numeric image with alpha = exp(2*pi*sqrt(-1)/m)."""
         return sum((c * root for c, root in zip(self.coords, roots_of_unity(self.m)) if c), 0j)
-
-
-def zero_vector(m: int) -> CycVec:
-    return CycVec(m, (0,) * m)
 
 
 def root_of_unity(m: int, j: int) -> complex:
@@ -141,21 +120,11 @@ def period_profile(m: int) -> list[tuple[int, int]]:
     return list(islice(iter_profile(m), 4 * m))
 
 
-def substitute_stream(m: int, i: int, term_count: int) -> CycVec:
-    """Image of the first term_count stream terms (constant included) after
-    writing the i-th m-th root in place of x; negative i reaches the
-    reciprocal roots.  Exact: exponents reduce mod m, coordinates accumulate."""
-    if term_count < 1:
-        raise ValueError(f"term count must be positive, got {term_count}")
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    return substitute_profile(m, i, islice(iter_profile(m), term_count))
-
-
 def substitute_profile(m: int, i: int, profile: Iterable[tuple[int, int]]) -> CycVec:
     """Image of the given (sign, residue mod m) stream positions after writing
-    the i-th m-th root in place of x.  On period_profile(m) this is
-    substitute_stream(m, i, 4 * m), without scanning the stream again."""
+    the i-th m-th root in place of x; negative i reaches the reciprocal roots.
+    Exact: exponents reduce mod m, coordinates accumulate.  On period_profile(m)
+    this is one block; on islice(iter_profile(m), n) it is the first n terms."""
     coords = [0] * m
     for sign, residue in profile:
         coords[(residue * i) % m] += sign
@@ -207,28 +176,6 @@ def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport
     return PeriodCancellationReport(m, periods, block_length, tuple(violations))
 
 
-def _block_signs(m: int, residue: int, profile: list[tuple[int, int]] | None = None) -> list[int]:
-    """Signs of the residue class within one 4m block, in stream order."""
-    if not 0 <= residue < m:
-        raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    if profile is None:
-        profile = period_profile(m)
-    return [sign for sign, r in profile if r == residue]
-
-
-def residue_substream(m: int, residue: int, count: int) -> list[int]:
-    """Signs of the stream terms (constant included) whose exponent leaves the
-    given residue mod m, in stream order; at most `count` of them.
-
-    The stream repeats its 4m block, so the class repeats its signs from one
-    block; a residue that never occurs there comes back as an empty list.
-    """
-    block = _block_signs(m, residue)
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    return list(islice(cycle(block), count))
-
-
 class BasisCancellationReport(NamedTuple):
     """One residue class: its sign period, the running partial sums over one
     period (the basis), and the two cancellation totals."""
@@ -247,22 +194,22 @@ class BasisCancellationReport(NamedTuple):
 
 
 def verify_basis_cancellation(
-    m: int, residue: int, profile: list[tuple[int, int]] | None = None
+    m: int, residue: int, block: list[tuple[int, int]]
 ) -> BasisCancellationReport:
-    """Find the smallest sign period L of the residue substream by search (the
-    classes have different sub-periods, so nothing is assumed), then check that
-    one period sums to zero and that its L running partial sums sum to zero
-    (zero mean partial sum, the averaging reading of the cancellation).
-
-    A caller checking every class of one m passes period_profile(m) as profile,
-    so the block is read from the stream once rather than once per class.
-    """
-    block = _block_signs(m, residue, profile)
-    if not block:
+    """Find the smallest sign period L of the residue class within block, which
+    is period_profile(m), by search (the classes have different sub-periods,
+    so nothing is assumed), then check that one period sums to zero and that
+    its L running partial sums sum to zero (zero mean partial sum, the
+    averaging reading of the cancellation).  The stream repeats its block, so
+    the class repeats these signs forever."""
+    if not 0 <= residue < m:
+        raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
+    class_signs = [sign for sign, r in block if r == residue]
+    if not class_signs:
         return BasisCancellationReport(m, residue, 0, (), (), 0, 0)
-    window = block * 3
-    length = len(block)
-    for candidate in range(1, len(block) + 1):
+    window = class_signs * 3
+    length = len(class_signs)
+    for candidate in range(1, length + 1):
         if all(window[pos] == window[pos - candidate] for pos in range(candidate, len(window))):
             length = candidate
             break
@@ -277,16 +224,16 @@ def verify_basis_cancellation(
     )
 
 
-def partial_sum_aggregate(m: int, profile: list[tuple[int, int]] | None = None) -> CycVec:
-    """Coordinate-wise sum of the 4m leading partial sums of one stream block;
-    profile, when the caller holds it already, is period_profile(m).
+def partial_sum_aggregate(m: int, block: list[tuple[int, int]]) -> CycVec:
+    """Coordinate-wise sum of the 4m leading partial sums of block, which is
+    period_profile(m).
 
     This aggregate is reported alongside the period checks rather than
     asserted in general; only the smallest cases are pinned down elsewhere.
     """
     coords = [0] * m
     running = [0] * m
-    for sign, residue in period_profile(m) if profile is None else profile:
+    for sign, residue in block:
         running[residue] += sign
         for r in range(m):
             coords[r] += running[r]

@@ -5,40 +5,24 @@ symmetric functions and power sums of the reciprocal roots."""
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from .pentagonal import signed_values
 
 
-class DenseSeries:
-    """coeffs[d] is the coefficient of x**d, for 0 <= d <= degree_cap.
-    Immutable; equal series compare and hash equal."""
+class _DenseSeriesFields(NamedTuple):
+    coeffs: tuple[int, ...]
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
+class DenseSeries(_DenseSeriesFields):
+    """coeffs[d] is the coefficient of x**d, for 0 <= d <= degree_cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[int, ...]) -> DenseSeries:
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"DenseSeries(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
-        return DenseSeries, (self.coeffs,)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree_cap(self) -> int:
@@ -70,15 +54,15 @@ def euler_product(degree_cap: int) -> DenseSeries:
 
     Factors with k beyond the cap cannot touch the kept degrees, so the result
     agrees with the infinite product coefficient-for-coefficient.  Each factor
-    is applied as one in-place shift-and-subtract pass.
+    1 - x^k is one slice pass, c[d] -= c[d - k] for d >= k, whose right-hand
+    side reads only the coefficients from before the factor.
     """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
     coeffs = [0] * (degree_cap + 1)
     coeffs[0] = 1
     for k in range(1, degree_cap + 1):
-        for d in range(degree_cap, k - 1, -1):
-            coeffs[d] -= coeffs[d - k]
+        coeffs[k:] = [c - s for c, s in zip(coeffs[k:], coeffs)]
     return DenseSeries(tuple(coeffs))
 
 

@@ -30,7 +30,7 @@ class FloatRangeError(ValueError):
     """A damped term or total lies beyond float range; no value is invented."""
 
 
-class TruncationInfeasibleError(RuntimeError):
+class TruncationInfeasibleError(ValueError):
     """The damped tail cannot be pushed under the tolerance within the cap."""
 
     def __init__(self, needed: int, cap: int):
@@ -136,6 +136,8 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     if not tolerance > 0.0:  # written so that NaN fails too
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     bound = tolerance / 10.0
+    if not bound > 0.0:  # the doubling search below would never reach it
+        raise ValueError(f"tolerance {tolerance} is too small: its tenth underflows to 0")
     log_rho = math.log(rho)
 
     def tail(cap: int) -> float:

@@ -281,6 +281,16 @@ def test_nan_tolerance_is_a_usage_error(capsys):
     assert captured.err == "pentafold: tolerance must be positive, got nan\n"
 
 
+def test_tolerance_whose_tenth_underflows_is_a_usage_error(capsys):
+    code = main(["abel", "--m", "2", "--tolerance", "5e-324"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "pentafold: tolerance 5e-324 is too small: its tenth underflows to 0\n"
+    code, out = run_cli(capsys, "abel", "--m", "2", "--tolerance", "1e-320", "--format", "csv")
+    assert (code, out.split(",")[5]) == (0, "PASS")
+
+
 def test_abel_large_terms_within_float_range(capsys):
     # the largest term is about e**498: finite, though 1272**120 alone is not
     code, out = run_cli(

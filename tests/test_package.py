@@ -31,9 +31,8 @@ PUBLIC = {
     ],
     "cyclotomic": [
         "BasisCancellationReport", "CycVec", "PeriodCancellationReport", "partial_sum_aggregate",
-        "period_profile", "residue_substream", "root_of_unity", "roots_of_unity",
-        "substitute_stream", "verify_basis_cancellation", "verify_period_cancellation",
-        "zero_vector",
+        "period_profile", "root_of_unity", "roots_of_unity", "substitute_profile",
+        "verify_basis_cancellation", "verify_period_cancellation",
     ],
     "summation": [
         "HARD_EXPONENT_CAP", "DifferenceTable", "NonPolynomialSequenceError", "PowerSumSplit",

@@ -233,9 +233,16 @@ def test_required_cap_rejects_a_tolerance_that_is_not_positive(tolerance):
         required_exponent_cap(1, 0.99, tolerance)
 
 
+def test_required_cap_rejects_a_tolerance_whose_tenth_underflows():
+    with pytest.raises(ValueError, match="underflows"):
+        required_exponent_cap(1, 0.99, 5e-324)
+    assert required_exponent_cap(1, 0.99, 1e-320) > required_exponent_cap(1, 0.99, 1e-9)
+
+
 def test_required_cap_infeasible_names_needed_value():
     with pytest.raises(TruncationInfeasibleError) as exc:
         required_exponent_cap(1, 0.9999999, 1e-9)
+    assert isinstance(exc.value, ValueError)  # a usage error at the CLI, like a bad tolerance
     assert exc.value.needed > 10**6
     assert str(exc.value.needed) in str(exc.value)
 
