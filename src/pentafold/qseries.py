@@ -4,10 +4,17 @@ symmetric functions and power sums of the reciprocal roots."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from itertools import compress
+from operator import add, sub
 from typing import NamedTuple
 
 from .pentagonal import signed_values
+
+# Rows of power sums computed per block; support degrees j >= BLOCK read only
+# rows of earlier blocks, so their share is summed a whole block at a time.
+BLOCK = 64
 
 
 class _DenseSeriesFields(NamedTuple):
@@ -30,13 +37,14 @@ class DenseSeries(_DenseSeriesFields):
 
     def nonzero(self) -> list[tuple[int, int]]:
         """(degree, coefficient) pairs for the nonzero coefficients."""
-        return [(d, c) for d, c in enumerate(self.coeffs) if c]
+        coeffs = self.coeffs
+        return [(d, coeffs[d]) for d in compress(range(len(coeffs)), coeffs)]
 
 
 def multiply_truncated(a: DenseSeries, b: DenseSeries, degree_cap: int) -> DenseSeries:
     """Convolve a and b, discarding every degree above degree_cap; each nonzero
     coefficient of b adds one shifted, scaled copy of a (O(cap) per factor
-    1 - x^k)."""
+    1 - x^k), one C-level slice pass each."""
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
     out = [0] * (degree_cap + 1)
@@ -45,7 +53,13 @@ def multiply_truncated(a: DenseSeries, b: DenseSeries, degree_cap: int) -> Dense
         if j > degree_cap:
             break
         span = head[: degree_cap + 1 - j]
-        out[j : j + len(span)] = [o + ca * cb for o, ca in zip(out[j:], span)]
+        if cb == 1:
+            shifted = map(add, out[j:], span)
+        elif cb == -1:
+            shifted = map(sub, out[j:], span)
+        else:
+            shifted = map(add, out[j:], map(cb.__mul__, span))
+        out[j : j + len(span)] = shifted
     return DenseSeries(tuple(out))
 
 
@@ -62,7 +76,7 @@ def euler_product(degree_cap: int) -> DenseSeries:
     coeffs = [0] * (degree_cap + 1)
     coeffs[0] = 1
     for k in range(1, degree_cap + 1):
-        coeffs[k:] = [c - s for c, s in zip(coeffs[k:], coeffs)]
+        coeffs[k:] = list(map(sub, coeffs[k:], coeffs))
     return DenseSeries(tuple(coeffs))
 
 
@@ -107,16 +121,35 @@ def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> li
     known, if given, is taken as p_1..p_n0 and the identities resume at
     n0 + 1, so extending a list costs O((count - n0) * nonzeros).  It is
     trusted as given: a wrong prefix gives wrong sums after it.
+
+    The rows are computed BLOCK at a time.  A degree j >= BLOCK with j <= K,
+    the block's first row, reads only rows before K (p[0] = 0 stands in at
+    j = k), so for the block it is one slice p[K-j : K+BLOCK-j]; the slices are
+    summed column by column at C level, one sum per coefficient value, and
+    scaled once.  Only the other degrees, j < BLOCK and j > K, are read row by
+    row, each from the first row k > j.
     """
     _require_monic(series, count)
     if len(known) > count:
         raise ValueError(f"{len(known)} known power sums exceed count {count}")
     a = series.coeffs
     support = [(j, c) for j, c in series.nonzero()[1:] if j <= count]
+    degrees = [j for j, _ in support]
+    low = bisect_left(degrees, BLOCK)  # support[:low] holds the degrees j < BLOCK
     p = [0, *known] + [0] * (count - len(known))
-    live = sum(1 for j, _ in support if j <= len(known))  # support[:live] holds the degrees j < k
-    for k in range(len(known) + 1, count + 1):
-        if live < len(support) and support[live][0] < k:
-            live += 1
-        p[k] = -k * a[k] - sum([c * p[k - j] for j, c in support[:live]])
+    for start in range(len(known) + 1, count + 1, BLOCK):
+        stop = min(start + BLOCK, count + 1)
+        far = max(low, bisect_right(degrees, start))  # support[low:far]: BLOCK <= j <= start
+        slices: dict[int, list[list[int]]] = {}
+        for j, c in support[low:far]:
+            slices.setdefault(c, []).append(p[start - j : stop - j])
+        columns = [0] * (stop - start)
+        for c, group in slices.items():
+            columns = [t + c * s for t, s in zip(columns, map(sum, zip(*group)))]
+        near = support[:low] + support[far:]  # read row by row
+        live = min(low, bisect_left(degrees, start))  # near[:live] holds the degrees j < k
+        for k, column in zip(range(start, stop), columns):
+            if live < len(near) and near[live][0] < k:
+                live += 1
+            p[k] = -k * a[k] - column - sum([c * p[k - j] for j, c in near[:live]])
     return p[1:]

@@ -28,19 +28,14 @@ class SigmaTable:
 
 
 def sigma_brute(n: int) -> int:
-    """Sum of all divisors of n by trial division up to sqrt(n)."""
+    """Sum of all divisors of n by trial division up to sqrt(n): each divisor
+    d <= sqrt(n) brings its partner n // d, and a square root, its own
+    partner, is taken back once."""
     if n < 1:
         raise ValueError(f"divisor sum needs n >= 1, got {n}")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d
-            partner = n // d
-            if partner != d:
-                total += partner
-        d += 1
-    return total
+    root = isqrt(n)
+    total = sum([d + n // d for d in range(1, root + 1) if not n % d])
+    return total - root if root * root == n else total
 
 
 def recurrence_terms(n: int, table: SigmaTable, boundary_rule: bool = True) -> list[int]:

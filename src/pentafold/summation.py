@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .cyclotomic import root_of_unity_fixed
 from .pentagonal import Branch, pentagonal
@@ -203,8 +205,17 @@ def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> i
     return max(exact_rho, math.ceil(needed) + 1)
 
 
-def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) -> dict[int, int]:
-    """Exact integer class sums of the damped stream in one pass: entry r is
+@lru_cache(maxsize=64)  # criterion 10 alone asks 208 times for 48 distinct inputs
+def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) -> Mapping[int, int]:
+    """Exact integer class sums of the damped stream, read-only: the pass is a
+    pure function of its arguments, so each distinct input runs it once and
+    later calls, such as every root index of one evaluation point, share its
+    result (the most recent 64 inputs are kept)."""
+    return MappingProxyType(_class_pass(exponent, m, rho, cap, bits))
+
+
+def _class_pass(exponent: int, m: int, rho: float, cap: int, bits: int) -> dict[int, int]:
+    """The class sums of the damped stream in one pass: entry r is
     the sum of sign * v**exponent * D_v over the stream values v <= cap with
     v = r (mod m), D_v being rho**v times 2**bits, truncated; the constant term
     adds 2**bits at r = 0 when exponent is 0.  A class no term reaches has no
@@ -238,7 +249,7 @@ def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) ->
 
 def _damped_classes(
     exponent: int, m: int, rho: float, tolerance: float, exponent_cap: int | None
-) -> tuple[int, dict[int, int]]:
+) -> tuple[int, Mapping[int, int]]:
     """Validate, truncate, refuse a term beyond float range before any exact
     work, then return the fixed-point bits and the class sums."""
     if m < 1:

@@ -6,7 +6,7 @@ or `pentafold report` for the same checks behind the CLI.
 
 from fractions import Fraction
 
-from pentafold import acceptance
+from pentafold import acceptance, summation
 from pentafold import (
     euler_sum_alternating,
     pentagonal_power_sum,
@@ -83,3 +83,24 @@ def test_criterion_10_abel_decay():
 
 def test_criterion_11_mutation_sensitivity():
     _run(acceptance.check_mutation_sensitivity)
+
+
+def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):
+    # criterion 10 evaluates 48 distinct (exponent, m, rho, cap) points, each
+    # at every root index, and its residue filters revisit the rho = 0.999 ones
+    passes = []
+    exact_pass = summation._class_pass
+
+    def counted(*args):
+        passes.append(args)
+        return exact_pass(*args)
+
+    monkeypatch.setattr(summation, "_class_pass", counted)
+    summation.damped_class_sums.cache_clear()
+    try:
+        results = acceptance.run_all()
+    finally:
+        summation.damped_class_sums.cache_clear()
+    assert results[9].number == 10 and results[9].passed
+    assert 0 < len(passes) <= 48
+    assert len(set(passes)) == len(passes)

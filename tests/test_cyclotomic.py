@@ -251,6 +251,34 @@ def test_partial_sum_aggregate_reported_for_larger_orders():
         assert len(aggregate.coords) == m
 
 
+def running_sum_aggregate(m, block):
+    """Oracle: add every running partial sum of block, coordinate by coordinate."""
+    coords = [0] * m
+    running = [0] * m
+    for sign, residue in block:
+        running[residue] += sign
+        for r in range(m):
+            coords[r] += running[r]
+    return CycVec(m, tuple(coords))
+
+
+def test_partial_sum_aggregate_matches_the_running_sums():
+    for m in range(1, 25):
+        block = period_profile(m)
+        assert partial_sum_aggregate(m, block) == running_sum_aggregate(m, block)
+        for position in (0, m, 4 * m - 1):
+            assert partial_sum_aggregate(m, flipped(block, position)) == running_sum_aggregate(
+                m, flipped(block, position)
+            )
+
+
+def test_as_complex_adds_the_table_roots_in_coordinate_order():
+    for m in range(1, 13):
+        for coords in ([j % 3 - 1 for j in range(m)], [0] * (m - 1) + [5], [7] + [0] * (m - 1)):
+            table = sum((c * root for c, root in zip(coords, roots_of_unity(m)) if c), 0j)
+            assert CycVec(m, tuple(coords)).as_complex() == table  # bit for bit
+
+
 def test_cycvec_validation():
     with pytest.raises(ValueError):
         CycVec(3, (1, 2))

@@ -1,7 +1,7 @@
 """Product expansion, sparse series, and reciprocal-root bookkeeping."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentafold import (
@@ -14,6 +14,7 @@ from pentafold import (
     power_sums,
     sigma_brute,
 )
+from pentafold.qseries import BLOCK
 
 
 def naive_product(factors, cap):
@@ -54,13 +55,14 @@ def naive_convolution(a, b, cap):
 
 
 @st.composite
-def monic_series(draw, sparse):
+def monic_series(draw, sparse, max_cap=40, max_nonzero=4):
     """A monic integer series and a count within its degree cap; the sparse
-    kind keeps only a handful of nonzero coefficients."""
-    cap = draw(st.integers(min_value=1, max_value=40))
+    kind keeps at most max_nonzero nonzero coefficients."""
+    cap = draw(st.integers(min_value=1, max_value=max_cap))
     coeffs = [1] + [0] * cap
     if sparse:
-        for degree, value in draw(st.dictionaries(st.integers(1, cap), st.integers(-3, 3), max_size=4)).items():
+        terms = st.dictionaries(st.integers(1, cap), st.integers(-3, 3), max_size=max_nonzero)
+        for degree, value in draw(terms).items():
             coeffs[degree] = value
     else:
         coeffs[1:] = draw(st.lists(st.integers(-9, 9), min_size=cap, max_size=cap))
@@ -191,6 +193,39 @@ def test_power_sums_resume_matches_cold_on_random_series(case, data):
     cold = power_sums(series, count)
     n0 = data.draw(st.integers(min_value=0, max_value=count))
     assert power_sums(series, count, known=cold[:n0]) == cold
+
+
+# Caps up to five blocks, so that many rows read degrees j >= BLOCK as slices.
+@settings(deadline=None)
+@given(
+    st.one_of(
+        monic_series(sparse=True, max_cap=5 * BLOCK, max_nonzero=24),
+        monic_series(sparse=False, max_cap=5 * BLOCK),
+    ),
+    st.data(),
+)
+def test_blocked_power_sums_match_dense_newton(case, data):
+    series, count = case
+    reference = newton_reference(series.coeffs, count)
+    assert power_sums(series, count) == reference
+    n0 = data.draw(st.integers(min_value=0, max_value=count))
+    assert power_sums(series, count, known=reference[:n0]) == reference
+
+
+EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
+
+
+@pytest.mark.parametrize("count", EDGES)
+def test_power_sums_at_block_edges(count):
+    # a series with a coefficient at every degree, of every size, and the
+    # pentagonal one, with prefixes ending on and beside the block edges
+    dense = DenseSeries((1, *(((d * 7) % 11 - 5) for d in range(1, 2 * BLOCK + 2))))
+    for series in (dense, pentagonal_series(2 * BLOCK + 1)):
+        reference = newton_reference(series.coeffs, count)
+        assert power_sums(series, count) == reference
+        for n0 in (0, 1, *EDGES):
+            if n0 <= count:
+                assert power_sums(series, count, known=reference[:n0]) == reference
 
 
 def test_symmetric_function_domain_errors():

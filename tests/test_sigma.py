@@ -92,7 +92,7 @@ def test_table_methods_agree():
 
 
 def test_brute_sieve_matches_trial_division():
-    limit = 5000
+    limit = 3 * 10**4  # every perfect square and every partner pair up to here
     assert sigma_table(limit, "brute").values[1:] == [sigma_brute(n) for n in range(1, limit + 1)]
 
 

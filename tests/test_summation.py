@@ -363,6 +363,21 @@ def test_fixed_point_error_is_within_the_stated_bound():
             assert abs(Decimal(sums.get(residue, 0)) / 2**bits - exact) <= bound
 
 
+def test_shared_class_sums_equal_a_fresh_pass_and_are_read_only():
+    cap = required_exponent_cap(3, 0.99, 1e-9)
+    args = (3, 4, 0.99, cap, fixed_point_bits(3, 0.99, cap, 1e-9))
+    fresh = summation._class_pass(*args)
+    shared = damped_class_sums(*args)
+    assert shared == fresh and len(shared) == 4
+    assert damped_class_sums(*args) is shared
+    with pytest.raises(TypeError):
+        shared[0] = 0
+    with pytest.raises(AttributeError):
+        shared.clear()
+    fresh[0] = 0  # the caller's own copy, not the shared one
+    assert damped_class_sums(*args) == summation._class_pass(*args)
+
+
 def test_abel_cost_does_not_grow_with_the_root_order():
     # only the roots the stream reaches are computed, never a table of all m
     tracemalloc.start()
