@@ -38,36 +38,47 @@ NON_NEGATIVE = _ranged(int, lambda v: v >= 0, "non-negative")
 RADIUS = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
-def _json_array(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2) byte for byte, for rows of scalar values,
-    each row in its own key order.  That call runs the pure-Python encoder;
-    this one joins the fields itself and encodes each key and value with
-    json's C-level functions, about twice as fast on large tables."""
+def _json_array(rows: list[tuple], columns: list[str]) -> str:
+    """json.dumps([dict(zip(columns, row)) for row in rows], indent=2) byte
+    for byte, for rows of scalar values.  That call runs the pure-Python
+    encoder; this one quotes the keys once into a per-row template and
+    encodes whole columns at C level: a column of exact ints is left as is
+    (%s prints an int as json does), a column of strings goes through
+    encode_basestring_ascii, and any other column is encoded value by value,
+    with json.dumps for floats, bools and None."""
+    if not rows:
+        return "[]"
     import json
     from json.encoder import encode_basestring_ascii as quote
 
     encoders = {str: quote, int: int.__repr__, float: json.dumps}  # anything else: json.dumps
 
-    def encode(row: dict) -> str:
-        if not row:
-            return "  {}"
-        fields = [f"{quote(key)}: {encoders.get(type(value), json.dumps)(value)}" for key, value in row.items()]
-        return "  {\n    " + ",\n    ".join(fields) + "\n  }"
+    def encode(column: tuple):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            return column
+        if kinds == {str}:
+            return map(quote, column)
+        return [encoders.get(type(value), json.dumps)(value) for value in column]
 
-    return "[\n" + ",\n".join(map(encode, rows)) + "\n]" if rows else "[]"
+    fields = ",\n    ".join(quote(name).replace("%", "%%") + ": %s" for name in columns)
+    template = "  {\n    " + fields + "\n  }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*map(encode, zip(*rows))))) + "\n]"
 
 
-def render(rows: list[dict], columns: list[str], fmt: str) -> str:
-    """Rows to text: aligned table, headerless CSV, or a JSON array."""
+def render(rows: list[tuple], columns: list[str], fmt: str) -> str:
+    """Rows, each a tuple of values in the order of the (one or more)
+    columns, to text: an aligned table, headerless CSV, or a JSON array of
+    objects.  Each format fills one line template per row with %, so the
+    per-row work runs at C level."""
     if fmt == "json":
-        return _json_array(rows)
+        return _json_array(rows, columns)
     if fmt == "csv":
-        return "\n".join(",".join(str(row[c]) for c in columns) for row in rows)
-    widths = {c: max(len(c), *(len(str(row[c])) for row in rows)) if rows else len(c) for c in columns}
-    lines = ["  ".join(c.ljust(widths[c]) for c in columns).rstrip()]
-    for row in rows:
-        lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in columns).rstrip())
-    return "\n".join(lines)
+        return "\n".join(map(",".join(["%s"] * len(columns)).__mod__, rows))
+    text = [list(map(str, column)) for column in zip(*rows)] or [[]] * len(columns)
+    widths = [max(len(name), max(map(len, column), default=0)) for name, column in zip(columns, text)]
+    line = "  ".join(f"%-{width}s" for width in widths)
+    return "\n".join(map(str.rstrip, [line % tuple(columns), *map(line.__mod__, zip(*text))]))
 
 
 def _frac(value) -> str:
@@ -75,36 +86,25 @@ def _frac(value) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def cmd_seq(args) -> tuple[list[dict], list[str], bool]:
+def cmd_seq(args) -> tuple[list[tuple], list[str], bool]:
     if args.is_pentagonal is not None:
         hit = is_pentagonal(args.is_pentagonal)
-        row = {
-            "value": args.is_pentagonal,
-            "pentagonal": "yes" if hit else "no",
-            "k": hit[0] if hit else "-",
-            "branch": hit[1].value if hit else "-",
-        }
+        k, branch = (hit[0], hit[1].value) if hit else ("-", "-")
+        row = (args.is_pentagonal, "yes" if hit else "no", k, branch)
         return [row], ["value", "pentagonal", "k", "branch"], True
     if args.differences:
         merged = [0] + [t.value for t in term_stream(args.count)]
-        rows = [{"index": i, "difference": d} for i, d in enumerate(differences(merged), start=1)]
-        return rows, ["index", "difference"], True
+        return list(enumerate(differences(merged), start=1)), ["index", "difference"], True
     if args.interpolated:
-        rows = [
-            {"position": j, "value": _frac(v)}
-            for j, v in enumerate(interpolated_sequence(args.count), start=1)
-        ]
+        rows = [(j, _frac(v)) for j, v in enumerate(interpolated_sequence(args.count), start=1)]
         return rows, ["position", "value"], True
     terms = term_stream(args.count, include_zero=args.include_zero)
     first = 0 if args.include_zero else 1
-    rows = [
-        {"position": p, "k": t.k, "branch": t.branch.value, "value": t.value, "sign": t.sign}
-        for p, t in enumerate(terms, start=first)
-    ]
+    rows = [(p, t.k, t.branch.value, t.value, t.sign) for p, t in enumerate(terms, start=first)]
     return rows, ["position", "k", "branch", "value", "sign"], True
 
 
-def cmd_sigma(args) -> tuple[list[dict], list[str], bool]:
+def cmd_sigma(args) -> tuple[list[tuple], list[str], bool]:
     """The cache serves the rows it holds, certified first; a short one is
     extended by the recurrence, or, for --method brute, re-sieved."""
     from pathlib import Path
@@ -121,18 +121,16 @@ def cmd_sigma(args) -> tuple[list[dict], list[str], bool]:
             table = sigma_table(args.max, args.method)
         if cache is not None:
             save_table(table, cache)
-    rows = [{"n": n, "sigma": table[n]} for n in range(1, args.max + 1)]
-    return rows, ["n", "sigma"], True
+    return list(zip(range(1, args.max + 1), table.values[1 : args.max + 1])), ["n", "sigma"], True
 
 
-def cmd_verify_pnt(args) -> tuple[list[dict], list[str], bool]:
+def cmd_verify_pnt(args) -> tuple[list[tuple], list[str], bool]:
     from .qseries import DenseSeries, euler_product, multiply_truncated, pentagonal_series
 
     product = euler_product(args.degree)
     sparse = pentagonal_series(args.degree)
     if args.dump:
-        rows = [{"degree": d, "coefficient": c} for d, c in product.nonzero()]
-        return rows, ["degree", "coefficient"], product == sparse
+        return product.nonzero(), ["degree", "coefficient"], product == sparse
     folded = DenseSeries((1,))
     for k in range(1, args.degree + 1):
         coeffs = [0] * (k + 1)
@@ -142,14 +140,11 @@ def cmd_verify_pnt(args) -> tuple[list[dict], list[str], bool]:
         ("product_vs_sparse_series", product == sparse),
         ("fold_multiply_vs_product", folded == product),
     ]
-    rows = [
-        {"degree": args.degree, "check": name, "verdict": "PASS" if ok else "FAIL"}
-        for name, ok in checks
-    ]
+    rows = [(args.degree, name, "PASS" if ok else "FAIL") for name, ok in checks]
     return rows, ["degree", "check", "verdict"], all(ok for _, ok in checks)
 
 
-def cmd_verify_periods(args) -> tuple[list[dict], list[str], bool]:
+def cmd_verify_periods(args) -> tuple[list[tuple], list[str], bool]:
     from .cyclotomic import (
         partial_sum_aggregate,
         period_profile,
@@ -164,37 +159,23 @@ def cmd_verify_periods(args) -> tuple[list[dict], list[str], bool]:
         periods = verify_period_cancellation(m, args.periods)  # scans the stream itself
         block = period_profile(m)  # the first 4m terms, read by every check below
         aggregate = partial_sum_aggregate(m, block)
-        substitution_zero = substitute_profile(m, 1, block).is_zero
-        float_ok = all(abs(substitute_profile(m, i, block).as_complex()) < 1e-9 for i in range(m))
-        ok = periods.passed and substitution_zero and float_ok
+        image = substitute_profile(m, 1, block)
+        classes = list(zip(image.coords, range(m)))  # the image at root i folds these, O(m)
+        float_ok = all(abs(substitute_profile(m, i, classes).as_complex()) < 1e-9 for i in range(m))
+        ok = periods.passed and image.is_zero and float_ok
         all_ok &= ok
-        rows.append(
-            {
-                "m": m,
-                "r": "-",
-                "period_length": periods.block_length,
-                "signed_sum": 0 if periods.passed else len(periods.violations),
-                "basis_sum": max(abs(c) for c in aggregate.coords),
-                "verdict": "PASS" if ok else "FAIL",
-            }
-        )
+        signed_sum = 0 if periods.passed else len(periods.violations)
+        basis_sum = max(map(abs, aggregate.coords))
+        rows.append((m, "-", periods.block_length, signed_sum, basis_sum, "PASS" if ok else "FAIL"))
         for r in range(m):
             basis = verify_basis_cancellation(m, r, block)
             all_ok &= basis.passed
-            rows.append(
-                {
-                    "m": m,
-                    "r": r,
-                    "period_length": basis.period_length,
-                    "signed_sum": basis.signed_sum,
-                    "basis_sum": basis.basis_sum,
-                    "verdict": "PASS" if basis.passed else "FAIL",
-                }
-            )
+            verdict = "PASS" if basis.passed else "FAIL"
+            rows.append((m, r, basis.period_length, basis.signed_sum, basis.basis_sum, verdict))
     return rows, ["m", "r", "period_length", "signed_sum", "basis_sum", "verdict"], all_ok
 
 
-def cmd_verify_powersums(args) -> tuple[list[dict], list[str], bool]:
+def cmd_verify_powersums(args) -> tuple[list[tuple], list[str], bool]:
     from .qseries import elementary_symmetric, euler_product, power_sums
     from .sigma import sigma_brute
 
@@ -207,32 +188,19 @@ def cmd_verify_powersums(args) -> tuple[list[dict], list[str], bool]:
         expected = sigma_brute(k)
         ok = p[k - 1] == expected
         all_ok &= ok
-        rows.append(
-            {
-                "k": k,
-                "elementary": e[k - 1],
-                "power_sum": p[k - 1],
-                "divisor_sum": expected,
-                "verdict": "PASS" if ok else "FAIL",
-            }
-        )
+        rows.append((k, e[k - 1], p[k - 1], expected, "PASS" if ok else "FAIL"))
     return rows, ["k", "elementary", "power_sum", "divisor_sum", "verdict"], all_ok
 
 
-def cmd_sum(args) -> tuple[list[dict], list[str], bool]:
+def cmd_sum(args) -> tuple[list[tuple], list[str], bool]:
     from .summation import pentagonal_power_sum
 
     split = pentagonal_power_sum(args.exponent)
-    row = {
-        "lambda": args.exponent,
-        "s": _frac(split.s),
-        "t": _frac(split.t),
-        "total": _frac(split.total),
-    }
+    row = (args.exponent, _frac(split.s), _frac(split.t), _frac(split.total))
     return [row], ["lambda", "s", "t", "total"], split.total == 0
 
 
-def cmd_abel(args) -> tuple[list[dict], list[str], bool]:
+def cmd_abel(args) -> tuple[list[tuple], list[str], bool]:
     from .summation import abel_evaluate, required_exponent_cap, residue_class_abel
 
     if args.residue is not None:
@@ -245,31 +213,15 @@ def cmd_abel(args) -> tuple[list[dict], list[str], bool]:
         near = abs(abel_evaluate(args.exponent, args.m, args.i, args.rho, args.tolerance, exponent_cap=cap))
         far = abs(abel_evaluate(args.exponent, args.m, args.i, args.baseline, args.tolerance, exponent_cap=cap))
     ok = near < far
-    row = {
-        "lambda": args.exponent,
-        "m": args.m,
-        "point": point,
-        "rho": args.rho,
-        "abs_value": f"{near:.6e}",
-        "verdict": "PASS" if ok else "FAIL",
-        "baseline_abs": f"{far:.6e}",
-    }
+    row = (args.exponent, args.m, point, args.rho, f"{near:.6e}", "PASS" if ok else "FAIL", f"{far:.6e}")
     return [row], ["lambda", "m", "point", "rho", "abs_value", "verdict", "baseline_abs"], ok
 
 
-def cmd_report(args) -> tuple[list[dict], list[str], bool]:
+def cmd_report(args) -> tuple[list[tuple], list[str], bool]:
     from .acceptance import run_all
 
     results = run_all()
-    rows = [
-        {
-            "criterion": res.number,
-            "name": res.name,
-            "verdict": "PASS" if res.passed else "FAIL",
-            "detail": res.detail,
-        }
-        for res in results
-    ]
+    rows = [(res.number, res.name, "PASS" if res.passed else "FAIL", res.detail) for res in results]
     return rows, ["criterion", "name", "verdict", "detail"], all(r.passed for r in results)
 
 
@@ -356,8 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pentafold: {exc}", file=sys.stderr)
         return 2
     if args.command == "sum" and args.format == "table":
-        row = rows[0]
-        print(f"s={row['s']} t={row['t']} total={row['total']}")
+        print("s=%s t=%s total=%s" % rows[0][1:])
     else:
         print(render(rows, columns, args.format))
     return 0 if passed else 1

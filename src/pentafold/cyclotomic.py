@@ -127,7 +127,10 @@ def substitute_profile(m: int, i: int, profile: Iterable[tuple[int, int]]) -> Cy
     """Image of the given (sign, residue mod m) stream positions after writing
     the i-th m-th root in place of x; negative i reaches the reciprocal roots.
     Exact: exponents reduce mod m, coordinates accumulate.  On period_profile(m)
-    this is one block; on islice(iter_profile(m), n) it is the first n terms."""
+    this is one block; on islice(iter_profile(m), n) it is the first n terms.
+    The signs may be any integer weights: on zip(image.coords, range(m)), the
+    classes of the image at i = 1, it folds that image into the image at i in
+    O(m)."""
     coords = [0] * m
     for sign, residue in profile:
         coords[(residue * i) % m] += sign

@@ -44,16 +44,21 @@ class DenseSeries(_DenseSeriesFields):
 def multiply_truncated(a: DenseSeries, b: DenseSeries, degree_cap: int) -> DenseSeries:
     """Convolve a and b, discarding every degree above degree_cap; each nonzero
     coefficient of b adds one shifted, scaled copy of a (O(cap) per factor
-    1 - x^k), one C-level slice pass each."""
+    1 - x^k), one C-level slice pass each.  The first such copy is written
+    into the zeroed result rather than added to it."""
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
     out = [0] * (degree_cap + 1)
     head = a.coeffs[: degree_cap + 1]
+    first = True
     for j, cb in b.nonzero():
         if j > degree_cap:
             break
         span = head[: degree_cap + 1 - j]
-        if cb == 1:
+        if first:
+            shifted = span if cb == 1 else map(cb.__mul__, span)
+            first = False
+        elif cb == 1:
             shifted = map(add, out[j:], span)
         elif cb == -1:
             shifted = map(sub, out[j:], span)

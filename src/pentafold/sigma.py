@@ -6,12 +6,17 @@ disk is certified by multiplicativity before use."""
 from __future__ import annotations
 
 import os
+import re
 from itertools import repeat
 from math import isqrt
+from operator import add
 from pathlib import Path
 
 from .pentagonal import signed_values
-from .qseries import pentagonal_series, power_sums
+
+# The records save_table writes, and nothing else: every line "n,sigma" in
+# ASCII digits, each ended by a newline.
+_WELL_FORMED = re.compile(r"(?:[0-9]+,[0-9]+\n)*")
 
 
 class SigmaTable:
@@ -68,9 +73,11 @@ def sigma_recurrence(n: int, table: SigmaTable, boundary_rule: bool = True) -> i
 def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     """Fill sigma(1..max_n) by "brute" or by "recurrence".
 
-    "brute" is the additive divisor sieve: every d is added to each of its
-    multiples, O(n log n), summing the divisors themselves with no use of the
-    pentagonal numbers.  The recurrence is Newton's identities on the
+    "brute" is the additive divisor sieve, paired: each d <= sqrt(max_n)
+    adds d + q to every multiple d*q with q >= d, one C-level slice pass per
+    d, and takes d back once at d*d, where q = d is the same divisor.  That is
+    about (n/2) ln n additions, summing the divisors themselves with no use of
+    the pentagonal numbers.  The recurrence is Newton's identities on the
     pentagonal series: sigma(k) is the k-th power sum of its reciprocal roots,
     which power_sums reads off the sparse coefficients in O(n sqrt n).
     recurrence_terms spells out the same sum for one n.
@@ -81,10 +88,13 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
         raise ValueError(f"method must be 'brute' or 'recurrence', got {method!r}")
     if method == "brute":
         values = [0] * (max_n + 1)
-        for d in range(1, max_n + 1):
-            for multiple in range(d, max_n + 1, d):
-                values[multiple] += d
+        for d in range(1, isqrt(max_n) + 1):
+            square = d * d
+            values[square::d] = map(add, values[square::d], range(2 * d, d + max_n // d + 1))
+            values[square] -= d
     else:
+        from .qseries import pentagonal_series, power_sums
+
         values = [0]
         values += power_sums(pentagonal_series(max_n), max_n)
     return SigmaTable(max_n, values)
@@ -94,6 +104,8 @@ def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
     """sigma(1..max_n), resuming the recurrence after the table's last row:
     O((max_n - n0) sqrt max_n) for a table of n0 rows.  The rows held are
     trusted, so certify a table from outside first (load_table does)."""
+    from .qseries import pentagonal_series, power_sums
+
     values = [0]
     values += power_sums(pentagonal_series(max_n), max_n, known=table.values[1:])
     return SigmaTable(max_n, values)
@@ -161,8 +173,38 @@ def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
     (all of them by default) with first_wrong_sigma.  Gaps, malformed lines
     and a certified row that is not sigma are errors; the error for a wrong
     row names n, the stored value and sigma(n)."""
+    text = Path(path).read_text(encoding="ascii")
+    values = _parse_records(text) if _WELL_FORMED.fullmatch(text) else None
+    if values is None:  # read line by line, for the error or for a laxer layout
+        values = _read_records(path, text)
+    max_n = len(values) - 1
+    bad = first_wrong_sigma(values, max_n if rows is None else min(rows, max_n))
+    if bad is not None:
+        raise ValueError(f"{path}: record n={bad} holds {values[bad]}, but sigma({bad}) = {sigma_brute(bad)}")
+    return SigmaTable(max_n, values)
+
+
+def _parse_records(text: str) -> list[int] | None:
+    """[0, sigma(1), sigma(2), ...] from well-formed records numbered 1, 2,
+    3, ... in order, parsed at C level; None if the numbering breaks or a
+    field is too long for int(), so the line reader names the first fault."""
+    try:
+        fields = list(map(int, text.replace("\n", ",").split(",")[:-1]))
+    except ValueError:
+        return None
+    if fields[0::2] != list(range(1, len(fields) // 2 + 1)):
+        return None
+    values = fields[1::2]
+    values.insert(0, 0)
+    return values
+
+
+def _read_records(path: str | Path, text: str) -> list[int]:
+    """The records one line at a time: blank lines are skipped, and int()
+    takes each field, so signs, spaces and underscores pass; the first
+    malformed or out-of-order record raises ValueError."""
     values = [0]
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         n_text, sep, sigma_text = line.partition(",")
@@ -172,8 +214,4 @@ def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
         if n != len(values):
             raise ValueError(f"{path}: line {lineno}: expected record for {len(values)}, got {n}")
         values.append(value)
-    max_n = len(values) - 1
-    bad = first_wrong_sigma(values, max_n if rows is None else min(rows, max_n))
-    if bad is not None:
-        raise ValueError(f"{path}: record n={bad} holds {values[bad]}, but sigma({bad}) = {sigma_brute(bad)}")
-    return SigmaTable(max_n, values)
+    return values

@@ -409,7 +409,8 @@ def test_sigma_json_equals_the_library_table(n, method, cache, data):
 def test_json_render_matches_the_standard_encoder_on_every_command(argv):
     args = build_parser().parse_args(argv)
     rows, columns, _ = HANDLERS[args.command](args)
-    assert render(rows, columns, "json") == json.dumps(rows, indent=2)
+    assert all(type(row) is tuple and len(row) == len(columns) for row in rows)
+    assert render(rows, columns, "json") == json.dumps([dict(zip(columns, r)) for r in rows], indent=2)
 
 
 SCALARS = st.one_of(
@@ -420,9 +421,55 @@ SCALARS = st.one_of(
     st.booleans(),
     st.none(),
 )
+NAMES = st.one_of(st.text(), st.sampled_from(["%", "%s", "%-4s", "%%", '"', "'", "na\u00efve", "\u03c3(n)", "a,b"]))
 
 
-@example([])
-@given(st.lists(st.dictionaries(st.text(), SCALARS, max_size=6), max_size=6))
-def test_json_render_matches_the_standard_encoder(rows):
-    assert render(rows, [], "json") == json.dumps(rows, indent=2)
+@st.composite
+def tables(draw):
+    """Unique column names and rows of scalars: columns of one type and of
+    mixed types, NaN, bools, None and no rows at all all occur."""
+    columns = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from([SCALARS, st.integers(), st.text(), st.floats()])) for _ in columns]
+    return draw(st.lists(st.tuples(*kinds), max_size=6)), columns
+
+
+@example(([], ["n"]))
+@example(([(1, "%s", float("nan"), True, None)], ["%", '"q"', "\u03c3", "%-4s", "x"]))
+@given(tables())
+def test_json_render_matches_the_standard_encoder(table):
+    rows, columns = table
+    assert render(rows, columns, "json") == json.dumps([dict(zip(columns, r)) for r in rows], indent=2)
+
+
+def dict_render(rows: list[dict], columns: list[str], fmt: str) -> str:
+    """The table and CSV renderer over rows as dicts, kept as the reference."""
+    if fmt == "csv":
+        return "\n".join(",".join(str(row[c]) for c in columns) for row in rows)
+    widths = {c: max(len(c), *(len(str(row[c])) for row in rows)) if rows else len(c) for c in columns}
+    lines = ["  ".join(c.ljust(widths[c]) for c in columns).rstrip()]
+    for row in rows:
+        lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in columns).rstrip())
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@example(table=([], ["n", "%s"]))
+@example(table=([(float("nan"), True), (None, -3), ("%d", "\u00e9 ")], ["%", "\u03c3(n)"]))
+@given(table=tables())
+def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
+    rows, columns = table
+    assert render(rows, columns, fmt) == dict_render([dict(zip(columns, r)) for r in rows], columns, fmt)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sigma_300.json", ["sigma", "--max", "300", "--format", "json"]),
+        ("sigma_300.txt", ["sigma", "--max", "300"]),
+        ("periods_12.json", ["verify-periods", "--max-m", "12", "--format", "json"]),
+    ],
+)
+def test_json_and_table_output_match_golden(capsys, name, argv):
+    code, out = run_cli(capsys, *argv)
+    assert out == (GOLDEN / name).read_text(encoding="ascii")
+    assert code == 0

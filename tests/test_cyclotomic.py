@@ -238,6 +238,15 @@ def test_checks_on_a_held_block_match_the_stream_scans():
             assert substitute_profile(m, i, block) == substitute_prefix(m, i, 4 * m)
 
 
+def test_the_image_at_root_i_folds_the_image_at_root_one():
+    for m in range(1, 49):
+        block = period_profile(m)
+        for held in (block, flipped(block, m)):
+            classes = list(zip(substitute_profile(m, 1, held).coords, range(m)))
+            for i in range(m):
+                assert substitute_profile(m, i, classes) == substitute_profile(m, i, held)
+
+
 def test_partial_sum_aggregate_pinned_cases():
     # the four running sums 1, 0, -1, 0 and the eight of the m=2 block
     assert partial_sum_aggregate(1, period_profile(1)) == CycVec(1, (0,))

@@ -80,6 +80,12 @@ def test_seq_loads_only_the_pentagonal_layer():
     assert "pentafold.pentagonal" in ours
 
 
+def test_brute_sigma_csv_loads_neither_json_nor_the_series_layer():
+    loaded = imported("-m", "pentafold", "sigma", "--max", "5", "--method", "brute", "--format", "csv")
+    assert "pentafold.sigma" in loaded
+    assert loaded & {"json", "pentafold.qseries"} == set()
+
+
 def test_submodule_is_an_attribute_of_a_fresh_package():
     code = "import pentafold, pentafold.cli; print(pentafold.acceptance.__name__)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -91,6 +91,11 @@ def test_table_methods_agree():
     assert brute.values == recurrence.values
 
 
+def test_paired_sieve_matches_the_divisor_sieve_at_every_small_size():
+    for max_n in range(1, 51):
+        assert sigma_table(max_n, "brute").values == divisor_sieve(max_n)
+
+
 def test_brute_sieve_matches_trial_division():
     limit = 3 * 10**4  # every perfect square and every partner pair up to here
     assert sigma_table(limit, "brute").values[1:] == [sigma_brute(n) for n in range(1, limit + 1)]
@@ -253,3 +258,63 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("1;1\n", encoding="ascii")
     with pytest.raises(ValueError):
         load_table(path)
+
+
+def read_line_by_line(path):
+    """Reference reader: every record parsed one line at a time, blank lines
+    skipped, the first malformed or out-of-order record raising."""
+    values = [0]
+    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+        if not line.strip():
+            continue
+        n_text, sep, sigma_text = line.partition(",")
+        if not sep:
+            raise ValueError(f"{path}: line {lineno}: expected 'n,sigma', got {line!r}")
+        n, value = int(n_text), int(sigma_text)
+        if n != len(values):
+            raise ValueError(f"{path}: line {lineno}: expected record for {len(values)}, got {n}")
+        values.append(value)
+    return values
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,1\n3,4\n",  # a gap
+        "1,1\n\n2,3\n",  # a blank line
+        "1;1\n",
+        "1,1,1\n2,3\n",
+        "1,1\n2,x\n",  # a non-numeric value
+        "1,1\n2,3\n3,4",  # no final newline
+        "1\n1,2,3\n",  # the fields of two bad lines line up as two records
+        "2,3\n1,1\n",
+        "1,1\r\n2,3\r\n",
+        "1,1\r2,3\n",
+        " 1, 1\n+2,3\n3,4_0\n",
+        "01,1\n002,3\n",
+        "1,1\n2,3\n\n\n",
+        "",
+        "1,1\n2,3\n3,4\n",
+        "1,1\n3,4\n4," + "9" * 5000 + "\n",  # a gap before a value too long for int()
+    ],
+    ids=[
+        "gap", "blank-line", "semicolon", "three-fields", "non-numeric", "no-final-newline",
+        "misaligned", "out-of-order", "crlf", "lone-cr", "lax-ints", "leading-zeros",
+        "trailing-blank-lines", "empty", "well-formed", "gap-then-long-field",
+    ],
+)
+def test_load_refuses_and_reads_as_the_line_reader_does(tmp_path, text):
+    path = tmp_path / "sigma.csv"
+    path.write_text(text, encoding="ascii", newline="")
+    try:
+        expected = read_line_by_line(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            load_table(path)
+        assert str(raised.value) == str(exc)
+    else:
+        if expected[1:] == [sigma_brute(n) for n in range(1, len(expected))]:
+            assert load_table(path).values == expected
+        else:
+            with pytest.raises(ValueError, match="holds"):
+                load_table(path)
