@@ -4,6 +4,7 @@ symmetric functions and power sums of the reciprocal roots."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from itertools import compress
@@ -68,21 +69,61 @@ def multiply_truncated(a: DenseSeries, b: DenseSeries, degree_cap: int) -> Dense
     return DenseSeries(tuple(out))
 
 
+def _slot_bits(degree_cap: int) -> int:
+    """Bits per coefficient slot in euler_product: a whole number of bytes w
+    with 2**(w - 2) >= e**(pi * sqrt(degree_cap / 3)), which bounds every
+    coefficient up to the cap (see euler_product)."""
+    return 8 * math.ceil((math.pi * math.sqrt(degree_cap / 3) / math.log(2) + 2) / 8)
+
+
 def euler_product(degree_cap: int) -> DenseSeries:
     """Expand the product of (1 - x^k) for k = 1..degree_cap, truncated there.
 
     Factors with k beyond the cap cannot touch the kept degrees, so the result
-    agrees with the infinite product coefficient-for-coefficient.  Each factor
-    1 - x^k is one slice pass, c[d] -= c[d - k] for d >= k, whose right-hand
-    side reads only the coefficients from before the factor.
+    agrees with the infinite product coefficient-for-coefficient.
+
+    The product is computed by Kronecker substitution: x -> 2**w maps
+    Z[x]/(x**(cap+1)) into the integers mod 2**(w*(cap+1)), and the map is a
+    ring homomorphism, so the image of the product is the product of the
+    images whatever the intermediate coefficients do; only the final ones
+    must fit in a slot of w bits, and the bound below does not assume the
+    pentagonal number theorem this product is checked against (which would
+    put every c_d in -1..1).  They fit: c_d is the number of partitions
+    of d into an even number of distinct parts minus the number into an odd
+    number, so |c_d| <= q(d), the number of partitions into distinct parts,
+    and q(d) * e**(-t*d) <= prod(1 + e**(-k*t)) <= e**(pi**2 / (12*t)) for
+    every t > 0 (the sum of log(1 + e**(-k*t)) is at most its integral), which
+    at t = pi / sqrt(12*d) gives q(d) <= e**(pi * sqrt(d/3)) <= 2**(w - 2)
+    (_slot_bits: one bit for the sign, one spare for rounding the bound).
+
+    Each factor k <= h = cap // 2 is one shift and subtract of the kept low
+    slots.  The factors k > h go in at once: a product of two of them has
+    degree at least 2h + 3 > cap, so together they are 1 - sum of x**k over
+    h < k <= cap; the running image times that sum is its low L = cap - h
+    slots times 1 + 2**w + ... + 2**(w*(L-1)), shifted up h + 1 slots, so
+    one multiply applies them all.  Decoding adds 2**(w - 1) to every slot,
+    which puts each slot's content c_d + 2**(w - 1) in [0, 2**w), so no slot
+    carries into the next and each is read off its bytes.
     """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
-    coeffs = [0] * (degree_cap + 1)
-    coeffs[0] = 1
-    for k in range(1, degree_cap + 1):
-        coeffs[k:] = list(map(sub, coeffs[k:], coeffs))
-    return DenseSeries(tuple(coeffs))
+    w = _slot_bits(degree_cap)
+    slots = degree_cap + 1
+    half = degree_cap // 2
+    full = (1 << w * slots) - 1  # x is kept as its least residue mod full + 1
+    ones = full // ((1 << w) - 1)  # 1 in every slot
+    x = 1
+    for k in range(1, half + 1):
+        x = (x - ((x & (full >> w * k)) << w * k)) & full
+    top = w * (half + 1)
+    low = full >> top
+    x = (x - (((x & low) * (ones >> top) & low) << top)) & full
+    bias = 1 << w - 1
+    data = ((x + bias * ones) & full).to_bytes(w * slots // 8, "little")
+    step = w // 8
+    return DenseSeries(tuple([
+        int.from_bytes(data[i : i + step], "little") - bias for i in range(0, len(data), step)
+    ]))
 
 
 def pentagonal_series(degree_cap: int) -> DenseSeries:

@@ -35,11 +35,12 @@ class SigmaTable:
 def sigma_brute(n: int) -> int:
     """Sum of all divisors of n by trial division up to sqrt(n): each divisor
     d <= sqrt(n) brings its partner n // d, and a square root, its own
-    partner, is taken back once."""
+    partner, is taken back once.  An odd n has no even divisor (and a whole
+    square root of it is odd), so only odd candidates are tried for it."""
     if n < 1:
         raise ValueError(f"divisor sum needs n >= 1, got {n}")
     root = isqrt(n)
-    total = sum([d + n // d for d in range(1, root + 1) if not n % d])
+    total = sum([d + n // d for d in range(1, root + 1, 1 + n % 2) if not n % d])
     return total - root if root * root == n else total
 
 

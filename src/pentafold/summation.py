@@ -215,11 +215,23 @@ def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) ->
 
 
 def _class_pass(exponent: int, m: int, rho: float, cap: int, bits: int) -> dict[int, int]:
-    """The class sums of the damped stream in one pass: entry r is
-    the sum of sign * v**exponent * D_v over the stream values v <= cap with
-    v = r (mod m), D_v being rho**v times 2**bits, truncated; the constant term
-    adds 2**bits at r = 0 when exponent is 0.  A class no term reaches has no
-    entry, so the cost follows the cap, not m.
+    """The class sums of the damped stream: entry r is the sum of the terms
+    of _stream_terms whose value v is r (mod m); the constant term adds
+    2**bits at r = 0 when exponent is 0.  A class no term reaches has no
+    entry, so the cost follows the cap, not m."""
+    sums = {0: 1 << bits} if exponent == 0 else {}
+    for value, term in _stream_terms(exponent, rho, cap, bits):
+        r = value % m
+        sums[r] = sums.get(r, 0) + term
+    return sums
+
+
+@lru_cache(maxsize=16)  # criterion 10 walks 8 distinct streams for 6 root orders each
+def _stream_terms(exponent: int, rho: float, cap: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """The damped stream in one walk: a pair (v, sign * v**exponent * D_v)
+    for each stream value v <= cap, D_v being rho**v times 2**bits,
+    truncated, up to the first D_v that truncates to 0 (every later one
+    does too).  It does not depend on m, so every root order shares it.
 
     The gaps between stream values alternate 2k - 1 (up to the k-th MINUS
     value) and k (up to the k-th PLUS value).  The gap factors rho**(2k - 1)
@@ -228,19 +240,17 @@ def _class_pass(exponent: int, m: int, rho: float, cap: int, bits: int) -> dict[
     """
     numerator, denominator = rho.as_integer_ratio()
     shift = denominator.bit_length() - 1
-    one = 1 << bits
-    sums = {0: one} if exponent == 0 else {}
+    terms = []
     to_minus = to_plus = numerator << (bits - shift)  # rho**1, exact
     numerator_sq, shift_sq = numerator * numerator, 2 * shift
-    damp, value, sign, k = one, 0, -1, 1
+    damp, value, sign, k = 1 << bits, 0, -1, 1
     while True:
         for gap, factor in ((2 * k - 1, to_minus), (k, to_plus)):
             value += gap
             damp = damp * factor >> bits
             if value > cap or not damp:  # past the cap, or every later factor is 0
-                return sums
-            r = value % m
-            sums[r] = sums.get(r, 0) + sign * value**exponent * damp
+                return tuple(terms)
+            terms.append((value, sign * value**exponent * damp))
         to_minus = to_minus * numerator_sq >> shift_sq
         to_plus = to_plus * numerator >> shift
         sign = -sign

@@ -104,3 +104,18 @@ def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):
     assert results[9].number == 10 and results[9].passed
     assert 0 < len(passes) <= 48
     assert len(set(passes)) == len(passes)
+
+
+def test_report_walks_each_damped_stream_once():
+    # criterion 10's 48 class passes read 8 streams: exponents 0..3 at
+    # rho = 0.999 and 0.9, each shared by every root order m
+    summation.damped_class_sums.cache_clear()
+    summation._stream_terms.cache_clear()
+    try:
+        results = acceptance.run_all()
+        walks = summation._stream_terms.cache_info().misses
+    finally:
+        summation.damped_class_sums.cache_clear()
+        summation._stream_terms.cache_clear()
+    assert results[9].number == 10 and results[9].passed
+    assert 0 < walks <= 8

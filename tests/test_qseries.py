@@ -1,5 +1,8 @@
 """Product expansion, sparse series, and reciprocal-root bookkeeping."""
 
+import math
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from pentafold import (
     power_sums,
     sigma_brute,
 )
-from pentafold.qseries import BLOCK
+from pentafold.qseries import BLOCK, _slot_bits
 
 
 def naive_product(factors, cap):
@@ -128,8 +131,41 @@ def test_euler_product_coefficients_stay_small():
 
 
 def test_euler_product_matches_naive_oracle():
-    cap = 40
-    assert list(euler_product(cap).coeffs) == naive_product(range(1, cap + 1), cap)
+    # factors past a cap cannot reach its degrees, so every cap's product is a
+    # prefix of the one at 200; caps 0..200 cross slot widths 8 to 40 bits
+    reference = naive_product(range(1, 201), 200)
+    for cap in range(201):
+        assert list(euler_product(cap).coeffs) == reference[: cap + 1]
+    assert len({_slot_bits(cap) for cap in range(201)}) == 5
+
+
+def test_euler_product_equals_the_fold_route():
+    # the fold multiplies dense coefficient lists, the kernel big integers
+    folded = DenseSeries((1,))
+    for k in range(1, 3001):
+        coeffs = [0] * (k + 1)
+        coeffs[0], coeffs[k] = 1, -1
+        folded = multiply_truncated(folded, DenseSeries(tuple(coeffs)), 3000)
+    for cap in (1000, 1503, 3000):
+        assert euler_product(cap).coeffs == folded.coeffs[: cap + 1]
+
+
+def test_slot_width_bounds_every_coefficient():
+    # |c_d| <= q(d), the number of partitions of d into distinct parts, counted
+    # here by the 0/1 knapsack over the parts 1..3000
+    limit = 3000
+    q = [1] + [0] * limit
+    for k in range(1, limit + 1):
+        q[k:] = list(map(add, q[k:], q))
+    assert q[:10] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8]
+    for d in range(limit + 1):
+        bound = math.exp(math.pi * math.sqrt(d / 3))
+        assert q[d] <= bound < 2.0 ** (_slot_bits(d) - 2)
+
+
+def test_euler_product_rejects_negative_cap():
+    with pytest.raises(ValueError, match="degree cap must be non-negative, got -1"):
+        euler_product(-1)
 
 
 def test_pentagonal_series_examples():

@@ -97,7 +97,9 @@ def test_paired_sieve_matches_the_divisor_sieve_at_every_small_size():
 
 
 def test_brute_sieve_matches_trial_division():
-    limit = 3 * 10**4  # every perfect square and every partner pair up to here
+    # every perfect square and partner pair up to here, odd n tried with odd
+    # candidates only
+    limit = 3 * 10**4
     assert sigma_table(limit, "brute").values[1:] == [sigma_brute(n) for n in range(1, limit + 1)]
 
 

@@ -378,6 +378,45 @@ def test_shared_class_sums_equal_a_fresh_pass_and_are_read_only():
     assert damped_class_sums(*args) == summation._class_pass(*args)
 
 
+def fused_class_pass(exponent, m, rho, cap, bits):
+    """Oracle: the class sums from one walk that buckets each term as it
+    goes, the form the damped sums had before the walk was shared."""
+    numerator, denominator = rho.as_integer_ratio()
+    shift = denominator.bit_length() - 1
+    one = 1 << bits
+    sums = {0: one} if exponent == 0 else {}
+    to_minus = to_plus = numerator << (bits - shift)
+    numerator_sq, shift_sq = numerator * numerator, 2 * shift
+    damp, value, sign, k = one, 0, -1, 1
+    while True:
+        for gap, factor in ((2 * k - 1, to_minus), (k, to_plus)):
+            value += gap
+            damp = damp * factor >> bits
+            if value > cap or not damp:
+                return sums
+            r = value % m
+            sums[r] = sums.get(r, 0) + sign * value**exponent * damp
+        to_minus = to_minus * numerator_sq >> shift_sq
+        to_plus = to_plus * numerator >> shift
+        sign = -sign
+        k += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exponent=st.integers(min_value=0, max_value=4),
+    m=st.integers(min_value=1, max_value=13),
+    rho=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+    tolerance=st.sampled_from([1e-3, 1e-9, 1e-12]),
+    pinned=st.booleans(),
+)
+def test_shared_walk_class_sums_equal_the_fused_pass(exponent, m, rho, tolerance, pinned):
+    # a pinned cap is the rho = 0.999 one, as criterion 10 pins it for rho = 0.9
+    cap = required_exponent_cap(exponent, 0.999 if pinned else rho, tolerance)
+    bits = fixed_point_bits(exponent, rho, cap, tolerance)
+    assert damped_class_sums(exponent, m, rho, cap, bits) == fused_class_pass(exponent, m, rho, cap, bits)
+
+
 def test_abel_cost_does_not_grow_with_the_root_order():
     # only the roots the stream reaches are computed, never a table of all m
     tracemalloc.start()
