@@ -36,11 +36,6 @@ class CycVec(_CycVecFields):
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def as_complex(self) -> complex:
-        """Numeric image with alpha = exp(2*pi*sqrt(-1)/m): the roots of the
-        nonzero coordinates only, added in coordinate order."""
-        return sum((c * root_of_unity(self.m, j) for j, c in enumerate(self.coords) if c), 0j)
-
 
 def root_of_unity(m: int, j: int) -> complex:
     """alpha**j for alpha = exp(2*pi*sqrt(-1)/m) in trigonometric form, the
@@ -128,9 +123,7 @@ def substitute_profile(m: int, i: int, profile: Iterable[tuple[int, int]]) -> Cy
     the i-th m-th root in place of x; negative i reaches the reciprocal roots.
     Exact: exponents reduce mod m, coordinates accumulate.  On period_profile(m)
     this is one block; on islice(iter_profile(m), n) it is the first n terms.
-    The signs may be any integer weights: on zip(image.coords, range(m)), the
-    classes of the image at i = 1, it folds that image into the image at i in
-    O(m)."""
+    The signs may be any integer weights."""
     coords = [0] * m
     for sign, residue in profile:
         coords[(residue * i) % m] += sign

@@ -16,7 +16,7 @@ from .pentagonal import signed_values
 
 # The records save_table writes, and nothing else: every line "n,sigma" in
 # ASCII digits, each ended by a newline.
-_WELL_FORMED = re.compile(r"(?:[0-9]+,[0-9]+\n)*")
+_WELL_FORMED = re.compile(rb"(?:[0-9]+,[0-9]+\n)*")
 
 
 class SigmaTable:
@@ -171,13 +171,10 @@ def save_table(table: SigmaTable, path: str | Path) -> None:
 
 def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
     """Read a table written by save_table and certify its first `rows` rows
-    (all of them by default) with first_wrong_sigma.  Gaps, malformed lines
-    and a certified row that is not sigma are errors; the error for a wrong
-    row names n, the stored value and sigma(n)."""
-    text = Path(path).read_text(encoding="ascii")
-    values = _parse_records(text) if _WELL_FORMED.fullmatch(text) else None
-    if values is None:  # read line by line, for the error or for a laxer layout
-        values = _read_records(path, text)
+    (all of them by default) with first_wrong_sigma.  Any other layout, a gap
+    in the numbering and a certified row that is not sigma are errors; the
+    error for a wrong row names n, the stored value and sigma(n)."""
+    values = _parse_records(path, Path(path).read_bytes())
     max_n = len(values) - 1
     bad = first_wrong_sigma(values, max_n if rows is None else min(rows, max_n))
     if bad is not None:
@@ -185,34 +182,28 @@ def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
     return SigmaTable(max_n, values)
 
 
-def _parse_records(text: str) -> list[int] | None:
-    """[0, sigma(1), sigma(2), ...] from well-formed records numbered 1, 2,
-    3, ... in order, parsed at C level; None if the numbering breaks or a
-    field is too long for int(), so the line reader names the first fault."""
-    try:
-        fields = list(map(int, text.replace("\n", ",").split(",")[:-1]))
-    except ValueError:
-        return None
-    if fields[0::2] != list(range(1, len(fields) // 2 + 1)):
-        return None
-    values = fields[1::2]
-    values.insert(0, 0)
-    return values
-
-
-def _read_records(path: str | Path, text: str) -> list[int]:
-    """The records one line at a time: blank lines are skipped, and int()
-    takes each field, so signs, spaces and underscores pass; the first
-    malformed or out-of-order record raises ValueError."""
-    values = [0]
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        n_text, sep, sigma_text = line.partition(",")
-        if not sep:
-            raise ValueError(f"{path}: line {lineno}: expected 'n,sigma', got {line!r}")
-        n, value = int(n_text), int(sigma_text)
-        if n != len(values):
-            raise ValueError(f"{path}: line {lineno}: expected record for {len(values)}, got {n}")
-        values.append(value)
-    return values
+def _parse_records(path: str | Path, text: bytes) -> list[int]:
+    """[0, sigma(1), sigma(2), ...] from the records save_table writes,
+    numbered 1, 2, 3, ... in order, parsed at C level.  Anything else raises
+    ValueError naming the first line that is not such a record."""
+    if _WELL_FORMED.fullmatch(text):
+        try:
+            fields = list(map(int, text.replace(b"\n", b",").split(b",")[:-1]))
+        except ValueError:  # a field longer than int() takes, located below
+            pass
+        else:
+            if fields[0::2] == list(range(1, len(fields) // 2 + 1)):
+                values = fields[1::2]
+                values.insert(0, 0)
+                return values
+    end = _WELL_FORMED.match(text).end()
+    lines = text[:end].splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            n, _ = map(int, line.split(b","))
+        except ValueError as exc:  # a field longer than int() takes
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if n != lineno:
+            raise ValueError(f"{path}: line {lineno}: expected record for {lineno}, got {n}")
+    bad = text[end:].partition(b"\n")[0][:60].decode("ascii", "backslashreplace")
+    raise ValueError(f"{path}: line {len(lines) + 1}: expected 'n,sigma' in ASCII digits and a newline, got {bad!r}")

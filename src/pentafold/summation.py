@@ -126,6 +126,13 @@ def pentagonal_power_sum(exponent: int) -> PowerSumSplit:
     return PowerSumSplit(exponent, s, t, total)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance > 0.0:  # written so that NaN fails too
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if tolerance == math.inf:  # the bits for it would be ceil(-inf)
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
+
+
 def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     """Smallest cap M with M**exponent * rho**M / (1 - rho) below tolerance/10.
 
@@ -135,8 +142,7 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    if not tolerance > 0.0:  # written so that NaN fails too
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     bound = tolerance / 10.0
     if not bound > 0.0:  # the doubling search below would never reach it
         raise ValueError(f"tolerance {tolerance} is too small: its tenth underflows to 0")
@@ -266,6 +272,7 @@ def _damped_classes(
         raise ValueError(f"root order must be positive, got {m}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+    _check_tolerance(tolerance)
     if exponent_cap is not None:
         cap = exponent_cap
     else:

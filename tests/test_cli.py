@@ -76,6 +76,18 @@ def test_sigma_cache_written_and_read(tmp_path, capsys):
     assert cache.read_bytes() == before
 
 
+def test_non_ascii_cache_is_refused_at_its_line(tmp_path, capsys):
+    cache = tmp_path / "sigma.csv"
+    cache.write_bytes(b"1,1\n2,3\xc3\n")
+    code = main(["sigma", "--max", "2", "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"pentafold: {cache}: line 2: ")
+    assert cache.read_bytes() == b"1,1\n2,3\xc3\n"
+
+
 def test_sigma_cache_extends_when_too_short(tmp_path, capsys):
     cache = tmp_path / "sigma.csv"
     cache.write_text("1,1\n", encoding="ascii")
@@ -279,6 +291,15 @@ def test_nan_tolerance_is_a_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "pentafold: tolerance must be positive, got nan\n"
+
+
+@pytest.mark.parametrize("point", [["--i", "1"], ["--r", "1"]], ids=["root", "residue"])
+def test_infinite_tolerance_is_a_usage_error(capsys, point):
+    code = main(["abel", "--m", "2", *point, "--tolerance", "inf"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "pentafold: tolerance must be finite, got inf\n"
 
 
 def test_tolerance_whose_tenth_underflows_is_a_usage_error(capsys):

@@ -5,6 +5,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pentafold import (
     extend_table,
@@ -263,8 +265,9 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def read_line_by_line(path):
-    """Reference reader: every record parsed one line at a time, blank lines
-    skipped, the first malformed or out-of-order record raising."""
+    """Reference: the line reader load_table once fell back to, and so what it
+    accepted.  Blank lines are skipped, int() takes signs, spaces and
+    underscores, and the first malformed or out-of-order record raises."""
     values = [0]
     for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         if not line.strip():
@@ -279,44 +282,93 @@ def read_line_by_line(path):
     return values
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1,1\n3,4\n",  # a gap
-        "1,1\n\n2,3\n",  # a blank line
-        "1;1\n",
-        "1,1,1\n2,3\n",
-        "1,1\n2,x\n",  # a non-numeric value
-        "1,1\n2,3\n3,4",  # no final newline
-        "1\n1,2,3\n",  # the fields of two bad lines line up as two records
-        "2,3\n1,1\n",
-        "1,1\r\n2,3\r\n",
-        "1,1\r2,3\n",
-        " 1, 1\n+2,3\n3,4_0\n",
-        "01,1\n002,3\n",
-        "1,1\n2,3\n\n\n",
-        "",
-        "1,1\n2,3\n3,4\n",
-        "1,1\n3,4\n4," + "9" * 5000 + "\n",  # a gap before a value too long for int()
-    ],
-    ids=[
-        "gap", "blank-line", "semicolon", "three-fields", "non-numeric", "no-final-newline",
-        "misaligned", "out-of-order", "crlf", "lone-cr", "lax-ints", "leading-zeros",
-        "trailing-blank-lines", "empty", "well-formed", "gap-then-long-field",
-    ],
-)
-def test_load_refuses_and_reads_as_the_line_reader_does(tmp_path, text):
-    path = tmp_path / "sigma.csv"
-    path.write_text(text, encoding="ascii", newline="")
+def assert_read_as_a_subset(path, line):
+    """load_table accepts the file exactly when line is None, and then the
+    reference accepts it with the same values; otherwise it refuses it with a
+    message naming the path and that line.  Returns whether the reference
+    accepted the file."""
     try:
         expected = read_line_by_line(path)
-    except ValueError as exc:
+    except ValueError:
+        expected = None
+    if line is None:
+        assert load_table(path).values == expected
+    else:
         with pytest.raises(ValueError) as raised:
             load_table(path)
-        assert str(raised.value) == str(exc)
-    else:
-        if expected[1:] == [sigma_brute(n) for n in range(1, len(expected))]:
-            assert load_table(path).values == expected
-        else:
-            with pytest.raises(ValueError, match="holds"):
-                load_table(path)
+        assert str(raised.value).startswith(f"{path}: line {line}: "), str(raised.value)
+    return expected is not None
+
+
+# Each text with the first line that load_table refuses (None where it reads
+# the file) and whether the reference reads it: the lax layouts, which
+# load_table now refuses.  Every text that is read holds sigma.
+@pytest.mark.parametrize(
+    "text, line, lax",
+    [
+        pytest.param("1,1\n3,4\n", 2, False, id="gap"),
+        pytest.param("1,1\n\n2,3\n", 2, True, id="blank-line"),
+        pytest.param("1;1\n", 1, False, id="semicolon"),
+        pytest.param("1,1,1\n2,3\n", 1, False, id="three-fields"),
+        pytest.param("1,1\n2,x\n", 2, False, id="non-numeric"),
+        pytest.param("1,1\n2,3\n3,4", 3, True, id="no-final-newline"),
+        # the fields of two bad lines line up as two records
+        pytest.param("1\n1,2,3\n", 1, False, id="misaligned"),
+        pytest.param("2,3\n1,1\n", 1, False, id="out-of-order"),
+        pytest.param("1,1\r\n2,3\r\n", 1, True, id="crlf"),
+        pytest.param("1,1\r2,3\n", 1, True, id="lone-cr"),
+        pytest.param(" 1, 1\n+2,3\n3,4_0\n", 1, True, id="lax-ints"),
+        pytest.param("01,1\n002,3\n", None, False, id="leading-zeros"),
+        pytest.param("1,1\n2,3\n\n\n", 3, True, id="trailing-blank-lines"),
+        pytest.param("", None, False, id="empty"),
+        pytest.param("1,1\n2,3\n3,4\n", None, False, id="well-formed"),
+        # a gap before a value too long for int()
+        pytest.param("1,1\n3,4\n4," + "9" * 5000 + "\n", 2, False, id="gap-then-long-field"),
+        pytest.param("1,1\n2,3\n3," + "9" * 5000 + "\n", 3, False, id="long-field"),
+        pytest.param("1,1\n2,3\xc3\n", 2, False, id="non-ascii"),
+    ],
+)
+def test_load_refuses_and_reads_as_the_line_reader_does(tmp_path, text, line, lax):
+    path = tmp_path / "sigma.csv"
+    path.write_bytes(text.encode("latin-1"))
+    assert assert_read_as_a_subset(path, line) == (line is None or lax)
+
+
+def perturbed(lines, kind, k, other):
+    """The canonical records lines (each ended by a newline) with one fault at
+    line k + 1, and that line number."""
+    n, value = lines[k][:-1].split(",")
+    if kind == "crlf":
+        lines[k] = f"{n},{value}\r\n"
+    elif kind == "blank":
+        lines.insert(k, "\n")
+    elif kind in ("+", "-", " "):
+        lines[k] = f"{n},{kind}{value}\n" if other % 2 else f"{kind}{n},{value}\n"
+    elif kind == "underscore":
+        lines[k] = f"{n},{value[:1]}_{value[1:]}\n"
+    elif kind == "no-final-newline":
+        k = len(lines) - 1
+        lines[k] = lines[k][:-1]
+    elif kind == "swap":
+        other = k + 1 + other % (len(lines) - k - 1)
+        lines[k], lines[other] = lines[other], lines[k]
+    else:  # a field of 5,000 digits
+        lines[k] = f"{n},{'9' * 5000}\n"
+    return "".join(lines), k + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 40),
+    kind=st.sampled_from(["crlf", "blank", "+", "-", " ", "underscore", "no-final-newline", "swap", "long"]),
+    where=st.integers(0, 10**6),
+    other=st.integers(0, 10**6),
+)
+def test_one_fault_in_a_canonical_file_is_refused_at_its_line(tmp_path_factory, count, kind, where, other):
+    assume(kind != "swap" or count >= 2)
+    path = tmp_path_factory.mktemp("cache") / "sigma.csv"
+    save_table(sigma_table(count), path)
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    text, line = perturbed(lines, kind, where % (count - 1 if kind == "swap" else count), other)
+    path.write_text(text, encoding="ascii", newline="")
+    assert_read_as_a_subset(path, line)

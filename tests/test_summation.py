@@ -233,6 +233,15 @@ def test_required_cap_rejects_a_tolerance_that_is_not_positive(tolerance):
         required_exponent_cap(1, 0.99, tolerance)
 
 
+def test_an_infinite_tolerance_is_refused_by_every_damped_entry():
+    with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+        required_exponent_cap(1, 0.99, math.inf)
+    with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+        abel_evaluate(1, 2, 1, 0.99, math.inf, exponent_cap=100)  # no cap search to refuse it
+    with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+        residue_class_abel(1, 2, 1, 0.99, math.inf)
+
+
 def test_required_cap_rejects_a_tolerance_whose_tenth_underflows():
     with pytest.raises(ValueError, match="underflows"):
         required_exponent_cap(1, 0.99, 5e-324)
