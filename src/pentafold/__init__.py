@@ -39,7 +39,7 @@ _LAZY = {
         "DenseSeries",
         "elementary_symmetric",
         "euler_product",
-        "multiply_truncated",
+        "fold_product",
         "pentagonal_series",
         "power_sums",
     ),

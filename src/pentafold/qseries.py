@@ -8,7 +8,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from itertools import compress
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple
 
 from .pentagonal import signed_values
@@ -42,31 +42,19 @@ class DenseSeries(_DenseSeriesFields):
         return [(d, coeffs[d]) for d in compress(range(len(coeffs)), coeffs)]
 
 
-def multiply_truncated(a: DenseSeries, b: DenseSeries, degree_cap: int) -> DenseSeries:
-    """Convolve a and b, discarding every degree above degree_cap; each nonzero
-    coefficient of b adds one shifted, scaled copy of a (O(cap) per factor
-    1 - x^k), one C-level slice pass each.  The first such copy is written
-    into the zeroed result rather than added to it."""
+def fold_product(degree_cap: int) -> DenseSeries:
+    """Expand the product of (1 - x^k) for k = 1..degree_cap one factor at a
+    time, as Euler did: each factor is one C-level slice pass over the kept
+    coefficients, O(cap**2) in all.  euler_product computes the same series
+    by big-integer evaluation; this route checks it with other arithmetic."""
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
-    out = [0] * (degree_cap + 1)
-    head = a.coeffs[: degree_cap + 1]
-    first = True
-    for j, cb in b.nonzero():
-        if j > degree_cap:
-            break
-        span = head[: degree_cap + 1 - j]
-        if first:
-            shifted = span if cb == 1 else map(cb.__mul__, span)
-            first = False
-        elif cb == 1:
-            shifted = map(add, out[j:], span)
-        elif cb == -1:
-            shifted = map(sub, out[j:], span)
-        else:
-            shifted = map(add, out[j:], map(cb.__mul__, span))
-        out[j : j + len(span)] = shifted
-    return DenseSeries(tuple(out))
+    coeffs = [1] + [0] * degree_cap
+    for k in range(1, degree_cap + 1):
+        # slice assignment builds the right side into a list before it writes,
+        # so the pass reads every coefficient as it stood before this factor
+        coeffs[k:] = map(sub, coeffs[k:], coeffs)
+    return DenseSeries(tuple(coeffs))
 
 
 def _slot_bits(degree_cap: int) -> int:

@@ -80,8 +80,9 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     about (n/2) ln n additions, summing the divisors themselves with no use of
     the pentagonal numbers.  The recurrence is Newton's identities on the
     pentagonal series: sigma(k) is the k-th power sum of its reciprocal roots,
-    which power_sums reads off the sparse coefficients in O(n sqrt n).
-    recurrence_terms spells out the same sum for one n.
+    which power_sums reads off the sparse coefficients in O(n sqrt n), run
+    as extend_table from no rows.  recurrence_terms spells out the same sum
+    for one n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
@@ -93,12 +94,8 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
             square = d * d
             values[square::d] = map(add, values[square::d], range(2 * d, d + max_n // d + 1))
             values[square] -= d
-    else:
-        from .qseries import pentagonal_series, power_sums
-
-        values = [0]
-        values += power_sums(pentagonal_series(max_n), max_n)
-    return SigmaTable(max_n, values)
+        return SigmaTable(max_n, values)
+    return extend_table(SigmaTable(0, [0]), max_n)
 
 
 def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:

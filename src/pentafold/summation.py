@@ -57,20 +57,16 @@ class DifferenceTable(NamedTuple):
         return [row[0] for row in self.rows]
 
 
-def difference_table(seq: Sequence, depth_limit: int | None = None) -> DifferenceTable:
+def difference_table(seq: Sequence) -> DifferenceTable:
     """Difference seq repeatedly until a row vanishes.
 
-    Raises NonPolynomialSequenceError when depth_limit is hit first, or when
-    the rows shrink away before vanishing (the caller supplied too few terms).
+    Raises NonPolynomialSequenceError when the rows shrink away before
+    vanishing (the caller supplied too few terms).
     """
     if not seq:
         raise ValueError("cannot difference an empty sequence")
     rows = [tuple(seq)]
     while any(rows[-1]):
-        if depth_limit is not None and len(rows) - 1 >= depth_limit:
-            raise NonPolynomialSequenceError(
-                f"no all-zero difference row within depth {depth_limit}"
-            )
         current = rows[-1]
         if len(current) < 2:
             raise NonPolynomialSequenceError(

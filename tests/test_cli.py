@@ -151,6 +151,46 @@ def test_verify_pnt(capsys):
     assert code == 0
 
 
+def test_verify_pnt_fails_when_the_fold_is_wrong(capsys, monkeypatch):
+    from pentafold import qseries
+
+    def flipped(degree_cap):
+        coeffs = list(fold(degree_cap).coeffs)
+        coeffs[7] = -coeffs[7]
+        return qseries.DenseSeries(tuple(coeffs))
+
+    fold = qseries.fold_product
+    monkeypatch.setattr(qseries, "fold_product", flipped)
+    code, out = run_cli(capsys, "verify-pnt", "--degree", "60", "--format", "csv")
+    assert "60,fold_multiply_vs_product,FAIL" in out
+    assert "60,product_vs_sparse_series,PASS" in out
+    assert code == 1
+
+
+@pytest.mark.parametrize("periods", ["1", "5"])
+def test_verify_periods_fails_on_a_wrong_sign_in_block_zero(capsys, monkeypatch, periods):
+    # the sign of x**5 is stream position 3, inside block 0 for every order m;
+    # with one period the block's residue sums are the only check that sees it
+    from pentafold import cyclotomic
+
+    def flipped():
+        for value, sign in stream():
+            yield value, -sign if value == 5 else sign
+
+    stream = cyclotomic.iter_signed_values
+    monkeypatch.setattr(cyclotomic, "iter_signed_values", flipped)
+    code, out = run_cli(
+        capsys, "verify-periods", "--max-m", "5", "--periods", periods, "--format", "csv"
+    )
+    rows = [line.split(",") for line in out.strip().splitlines()]
+    order_rows = [row for row in rows if row[1] == "-"]
+    assert [row[0] for row in order_rows] == ["1", "2", "3", "4", "5"]
+    for row in order_rows:
+        assert row[5] == "FAIL"
+        assert int(row[3]) > 0
+    assert code == 1
+
+
 def test_verify_periods_pinned_rows(capsys):
     code, out = run_cli(capsys, "verify-periods", "--max-m", "5", "--format", "csv")
     lines = out.strip().splitlines()

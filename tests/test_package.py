@@ -26,7 +26,7 @@ PUBLIC = {
         "sigma_recurrence", "sigma_table",
     ],
     "qseries": [
-        "DenseSeries", "elementary_symmetric", "euler_product", "multiply_truncated",
+        "DenseSeries", "elementary_symmetric", "euler_product", "fold_product",
         "pentagonal_series", "power_sums",
     ],
     "cyclotomic": [

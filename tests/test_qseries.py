@@ -11,8 +11,8 @@ from pentafold import (
     DenseSeries,
     elementary_symmetric,
     euler_product,
+    fold_product,
     is_pentagonal,
-    multiply_truncated,
     pentagonal_series,
     power_sums,
     sigma_brute,
@@ -47,16 +47,6 @@ def newton_reference(coeffs, count):
     return p[1:]
 
 
-def naive_convolution(a, b, cap):
-    """Oracle: every coefficient pair, kept when its degree is within the cap."""
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j <= cap:
-                out[i + j] += x * y
-    return out
-
-
 @st.composite
 def monic_series(draw, sparse, max_cap=40, max_nonzero=4):
     """A monic integer series and a count within its degree cap; the sparse
@@ -72,48 +62,16 @@ def monic_series(draw, sparse, max_cap=40, max_nonzero=4):
     return DenseSeries(tuple(coeffs)), draw(st.integers(min_value=1, max_value=cap))
 
 
-small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8).map(
-    lambda cs: DenseSeries(tuple(cs))
-)
+def test_fold_product_matches_naive_oracle():
+    # every cap's product is a prefix of the one at 200, as in euler_product
+    reference = naive_product(range(1, 201), 200)
+    for cap in range(201):
+        assert list(fold_product(cap).coeffs) == reference[: cap + 1]
 
 
-def test_multiply_hand_expansions():
-    a = DenseSeries((1, -1))
-    b = DenseSeries((1, 0, -1))
-    assert multiply_truncated(a, b, 3).coeffs == (1, -1, -1, 1)
-    assert multiply_truncated(a, a, 1).coeffs == (1, -2)
-
-
-def test_multiply_matches_naive_oracle_through_k7():
-    result = DenseSeries((1,))
-    for k in range(1, 8):
-        factor_coeffs = [0] * (k + 1)
-        factor_coeffs[0], factor_coeffs[k] = 1, -1
-        result = multiply_truncated(result, DenseSeries(tuple(factor_coeffs)), 7)
-    assert list(result.coeffs) == naive_product(range(1, 8), 7)
-    assert result.coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
-
-
-def test_multiply_rejects_negative_cap():
-    with pytest.raises(ValueError):
-        multiply_truncated(DenseSeries((1,)), DenseSeries((1,)), -1)
-
-
-@given(small_series, small_series, st.integers(min_value=0, max_value=12))
-def test_multiply_is_commutative(a, b, cap):
-    assert multiply_truncated(a, b, cap) == multiply_truncated(b, a, cap)
-
-
-@given(small_series, small_series, small_series, st.integers(min_value=0, max_value=12))
-def test_multiply_is_associative_under_shared_cap(a, b, c, cap):
-    left = multiply_truncated(multiply_truncated(a, b, cap), c, cap)
-    right = multiply_truncated(a, multiply_truncated(b, c, cap), cap)
-    assert left == right
-
-
-@given(small_series, small_series, st.integers(min_value=0, max_value=20))
-def test_multiply_matches_naive_convolution(a, b, cap):
-    assert list(multiply_truncated(a, b, cap).coeffs) == naive_convolution(a.coeffs, b.coeffs, cap)
+def test_fold_product_rejects_negative_cap():
+    with pytest.raises(ValueError, match="degree cap must be non-negative, got -1"):
+        fold_product(-1)
 
 
 def test_euler_product_examples():
@@ -140,12 +98,8 @@ def test_euler_product_matches_naive_oracle():
 
 
 def test_euler_product_equals_the_fold_route():
-    # the fold multiplies dense coefficient lists, the kernel big integers
-    folded = DenseSeries((1,))
-    for k in range(1, 3001):
-        coeffs = [0] * (k + 1)
-        coeffs[0], coeffs[k] = 1, -1
-        folded = multiply_truncated(folded, DenseSeries(tuple(coeffs)), 3000)
+    # the fold passes over coefficient slices, the kernel over big integers
+    folded = fold_product(3000)
     for cap in (1000, 1503, 3000):
         assert euler_product(cap).coeffs == folded.coeffs[: cap + 1]
 

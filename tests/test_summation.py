@@ -159,11 +159,6 @@ def test_difference_table_all_zero_input():
     assert difference_table([0, 0, 0]).rows == ((0, 0, 0),)
 
 
-def test_difference_table_depth_limit():
-    with pytest.raises(NonPolynomialSequenceError):
-        difference_table(MINUS_SQUARES, depth_limit=3)
-
-
 def test_difference_table_insufficient_terms():
     with pytest.raises(NonPolynomialSequenceError):
         difference_table([1, 5, 12])  # quadratic data, too short to bottom out
