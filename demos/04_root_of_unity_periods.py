@@ -42,11 +42,9 @@ print(f"  all per-residue sums zero, all profiles repeat: {all_pass}")
 print()
 
 print("Residue classes mod 5 (classes 3 and 4 never occur):")
-block = period_profile(5)
-for r in range(5):
-    report = verify_basis_cancellation(5, r, block)
+for report in verify_basis_cancellation(5, period_profile(5)):
     signs = (report.signs * 8)[:8]
     rendered = " ".join("+1" if s > 0 else "-1" for s in signs) if signs else "(empty)"
-    print(f"  r={r}: signs {rendered}")
+    print(f"  r={report.residue}: signs {rendered}")
     print(f"        period {report.period_length}, partial sums {list(report.partial_sums)},"
           f" sum {report.signed_sum}, basis sum {report.basis_sum}")

@@ -49,7 +49,6 @@ _LAZY = {
         "PeriodCancellationReport",
         "partial_sum_aggregate",
         "period_profile",
-        "root_of_unity",
         "roots_of_unity",
         "substitute_profile",
         "verify_basis_cancellation",

@@ -143,8 +143,8 @@ def check_period_cancellation(max_m: int = 24, periods: int = 5) -> CriterionRes
 def check_basis_cancellation() -> CriterionResult:
     """Criterion 7: the pinned running-sum patterns for m=5, r=0 and m=1."""
     start = time.perf_counter()
-    five = verify_basis_cancellation(5, 0, period_profile(5))
-    one = verify_basis_cancellation(1, 0, period_profile(1))
+    five = verify_basis_cancellation(5, period_profile(5))[0]
+    (one,) = verify_basis_cancellation(1, period_profile(1))
     elapsed = time.perf_counter() - start
     ok = (
         five.partial_sums == (1, 2, 1, 0, -1, -2, -1, 0)

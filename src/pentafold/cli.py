@@ -158,11 +158,10 @@ def cmd_verify_periods(args) -> tuple[list[tuple], list[str], bool]:
         basis_sum = max(map(abs, aggregate.coords))
         verdict = "PASS" if periods.passed else "FAIL"
         rows.append((m, "-", periods.block_length, signed_sum, basis_sum, verdict))
-        for r in range(m):
-            basis = verify_basis_cancellation(m, r, block)
+        for basis in verify_basis_cancellation(m, block):
             all_ok &= basis.passed
             verdict = "PASS" if basis.passed else "FAIL"
-            rows.append((m, r, basis.period_length, basis.signed_sum, basis.basis_sum, verdict))
+            rows.append((m, basis.residue, basis.period_length, basis.signed_sum, basis.basis_sum, verdict))
     return rows, ["m", "r", "period_length", "signed_sum", "basis_sum", "verdict"], all_ok
 
 

@@ -5,9 +5,8 @@ the substitution, residue-class and partial-sum checks read from it."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .pentagonal import iter_signed_values
@@ -35,16 +34,6 @@ class CycVec(_CycVecFields):
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-
-def root_of_unity(m: int, j: int) -> complex:
-    """alpha**j for alpha = exp(2*pi*sqrt(-1)/m) in trigonometric form, the
-    exponent reduced mod m first: cos(2j*pi/m) + sqrt(-1)*sin(2j*pi/m).  The
-    one formula every float evaluation at a root goes through."""
-    if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
-    angle = 2.0 * math.pi / m * (j % m)
-    return complex(math.cos(angle), math.sin(angle))
 
 
 _GUARD_BITS = 20  # absorbs the truncation errors below, a few units per series term
@@ -96,10 +85,11 @@ def root_of_unity_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
 
 
 def roots_of_unity(m: int) -> list[complex]:
-    """All m roots of x^m = 1, entry j being root_of_unity(m, j)."""
+    """All m roots of x^m = 1, entry j being root_of_unity_fixed(m, j, 64) with
+    each part rounded once to float, so 1, -1, i and -i come out exact."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
-    return [root_of_unity(m, j) for j in range(m)]
+    return [complex(*(part / 2**64 for part in root_of_unity_fixed(m, j, 64))) for j in range(m)]
 
 
 def iter_profile(m: int) -> Iterator[tuple[int, int]]:
@@ -193,34 +183,36 @@ class BasisCancellationReport(NamedTuple):
 
 
 def verify_basis_cancellation(
-    m: int, residue: int, block: list[tuple[int, int]]
-) -> BasisCancellationReport:
-    """Find the smallest sign period L of the residue class within block, which
-    is period_profile(m), by search (the classes have different sub-periods,
-    so nothing is assumed), then check that one period sums to zero and that
-    its L running partial sums sum to zero (zero mean partial sum, the
-    averaging reading of the cancellation).  The stream repeats its block, so
-    the class repeats these signs forever."""
-    if not 0 <= residue < m:
-        raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    class_signs = [sign for sign, r in block if r == residue]
-    if not class_signs:
-        return BasisCancellationReport(m, residue, 0, (), (), 0, 0)
-    window = class_signs * 3
-    length = len(class_signs)
-    for candidate in range(1, length + 1):
-        if all(window[pos] == window[pos - candidate] for pos in range(candidate, len(window))):
-            length = candidate
-            break
-    signs = tuple(window[:length])
-    partial_sums: list[int] = []
-    running = 0
-    for sign in signs:
-        running += sign
-        partial_sums.append(running)
-    return BasisCancellationReport(
-        m, residue, length, signs, tuple(partial_sums), sum(signs), sum(partial_sums)
-    )
+    m: int, block: list[tuple[int, int]]
+) -> list[BasisCancellationReport]:
+    """One report per residue class, in residue order, from one grouping pass
+    over block, which is period_profile(m).  A class's sign period L is the
+    smallest divisor of its length whose rotation leaves its signs unchanged
+    (the classes have different sub-periods, so nothing is assumed); then one
+    period must sum to zero and so must its L running partial sums (zero mean
+    partial sum, the averaging reading of the cancellation).  The stream
+    repeats its block, so each class repeats these signs forever."""
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
+    classes: list[list[int]] = [[] for _ in range(m)]
+    for sign, residue in block:
+        if not 0 <= residue < m:
+            raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
+        classes[residue].append(sign)
+    reports = []
+    for residue, signs in enumerate(classes):
+        length = len(signs)
+        period = next(
+            (c for c in range(1, length + 1) if length % c == 0 and signs[c:] + signs[:c] == signs), 0
+        )
+        basis = signs[:period]
+        partial_sums = tuple(accumulate(basis))
+        reports.append(
+            BasisCancellationReport(
+                m, residue, period, tuple(basis), partial_sums, sum(basis), sum(partial_sums)
+            )
+        )
+    return reports
 
 
 def partial_sum_aggregate(m: int, block: list[tuple[int, int]]) -> CycVec:

@@ -5,20 +5,22 @@ import math
 from itertools import cycle, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentafold import (
+    BasisCancellationReport,
     CycVec,
     cyclotomic,
     iter_terms,
     partial_sum_aggregate,
     period_profile,
-    root_of_unity,
     roots_of_unity,
     substitute_profile,
     verify_basis_cancellation,
     verify_period_cancellation,
 )
-from pentafold.cyclotomic import iter_profile
+from pentafold.cyclotomic import iter_profile, root_of_unity_fixed
 
 # One full 4m-term block in stream order, (sign, residue) per position;
 # these are the printed eight/twelve/sixteen/twenty-term periods.
@@ -45,7 +47,7 @@ def substitute_prefix(m: int, i: int, term_count: int) -> CycVec:
 
 def class_signs(m: int, residue: int, count: int) -> list[int]:
     """The first count signs of a residue class, cycled from its basis report."""
-    return list(islice(cycle(verify_basis_cancellation(m, residue, period_profile(m)).signs), count))
+    return list(islice(cycle(verify_basis_cancellation(m, period_profile(m))[residue].signs), count))
 
 
 def flipped(block: list[tuple[int, int]], position: int) -> list[tuple[int, int]]:
@@ -65,20 +67,20 @@ def numeric_stream_value(m: int, i: int, term_count: int) -> complex:
 
 
 def test_roots_of_unity_small_orders():
-    assert roots_of_unity(1)[0] == pytest.approx(1 + 0j)
-    quartics = {(round(r.real, 9), round(r.imag, 9)) for r in roots_of_unity(4)}
-    assert (0.0, 1.0) in quartics and (0.0, -1.0) in quartics
+    assert roots_of_unity(1) == [1]
+    assert roots_of_unity(2) == [1, -1]
+    assert roots_of_unity(4) == [1, 1j, -1, -1j]  # the quarter turns are exact
     with pytest.raises(ValueError):
         roots_of_unity(0)
 
 
 def test_single_root_reduces_the_exponent_mod_m():
     for m in range(1, 13):
-        table = roots_of_unity(m)
         for j in range(-2 * m, 3 * m):
-            assert root_of_unity(m, j) == table[j % m]
+            for bits in (0, 53, 64, 200):
+                assert root_of_unity_fixed(m, j, bits) == root_of_unity_fixed(m, j % m, bits)
     with pytest.raises(ValueError):
-        root_of_unity(0, 1)
+        root_of_unity_fixed(0, 1, 64)
 
 
 def test_fifth_root_matches_radical_expression():
@@ -191,12 +193,15 @@ def test_residue_substream_matches_a_stream_scan():
 
 
 def test_residue_substream_rejects_bad_residue():
-    with pytest.raises(ValueError):
-        verify_basis_cancellation(5, 5, period_profile(5))
+    for residue in (-1, 5):
+        with pytest.raises(ValueError, match=f"got {residue}$"):
+            verify_basis_cancellation(5, [*BLOCK_M5, (1, residue)])
+    with pytest.raises(ValueError, match="got 0$"):
+        verify_basis_cancellation(0, [])
 
 
 def test_basis_cancellation_m5_r0():
-    report = verify_basis_cancellation(5, 0, BLOCK_M5)
+    report = verify_basis_cancellation(5, BLOCK_M5)[0]
     assert report.period_length == 8
     assert report.partial_sums == (1, 2, 1, 0, -1, -2, -1, 0)
     assert report.signed_sum == 0
@@ -205,20 +210,20 @@ def test_basis_cancellation_m5_r0():
 
 
 def test_basis_cancellation_m1():
-    report = verify_basis_cancellation(1, 0, period_profile(1))
+    (report,) = verify_basis_cancellation(1, period_profile(1))
     assert report.partial_sums == (1, 0, -1, 0)
     assert report.passed
 
 
 def test_basis_cancellation_m5_r1():
-    report = verify_basis_cancellation(5, 1, BLOCK_M5)
+    report = verify_basis_cancellation(5, BLOCK_M5)[1]
     assert report.signs == (-1, 1, 1, -1)
     assert report.partial_sums == (-1, 0, 1, 0)
     assert report.passed
 
 
 def test_basis_cancellation_empty_class_passes():
-    report = verify_basis_cancellation(5, 3, BLOCK_M5)
+    report = verify_basis_cancellation(5, BLOCK_M5)[3]
     assert report.period_length == 0
     assert report.signs == ()
     assert report.passed
@@ -226,10 +231,61 @@ def test_basis_cancellation_empty_class_passes():
 
 def test_basis_cancellation_all_small_orders():
     for m in range(1, 25):
-        block = period_profile(m)
-        for r in range(m):
-            report = verify_basis_cancellation(m, r, block)
+        reports = verify_basis_cancellation(m, period_profile(m))
+        assert [report.residue for report in reports] == list(range(m))
+        for report in reports:
             assert report.passed, report
+
+
+def window_search_basis(m, residue, block):
+    """Oracle: one class's basis report by the per-residue scan and the
+    tripled-window period search, the smallest candidate the window repeats under."""
+    members = [sign for sign, r in block if r == residue]
+    if not members:
+        return BasisCancellationReport(m, residue, 0, (), (), 0, 0)
+    window = members * 3
+    length = len(members)
+    for candidate in range(1, length + 1):
+        if all(window[pos] == window[pos - candidate] for pos in range(candidate, len(window))):
+            length = candidate
+            break
+    signs = tuple(window[:length])
+    partial_sums = []
+    running = 0
+    for sign in signs:
+        running += sign
+        partial_sums.append(running)
+    return BasisCancellationReport(
+        m, residue, length, signs, tuple(partial_sums), sum(signs), sum(partial_sums)
+    )
+
+
+def assert_grouped_matches_window_search(m, block):
+    expected = [window_search_basis(m, r, block) for r in range(m)]
+    assert verify_basis_cancellation(m, block) == expected, (m, block)
+
+
+def test_grouped_basis_check_matches_the_window_search():
+    for m in range(1, 61):
+        block = period_profile(m)
+        assert_grouped_matches_window_search(m, block)
+        for position in (0, m, 4 * m - 1):
+            assert_grouped_matches_window_search(m, flipped(block, position))
+
+
+@st.composite
+def blocks(draw):
+    """(m, block): a drawn pattern of (sign, residue) repeated a drawn number of
+    times, so that short periods turn up as well as none."""
+    m = draw(st.integers(1, 12))
+    pattern = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(0, m - 1)), max_size=80))
+    return m, (pattern * draw(st.integers(1, 4)))[:80]
+
+
+@settings(max_examples=300)
+@given(blocks())
+def test_grouped_basis_check_matches_the_window_search_on_drawn_blocks(case):
+    assert_grouped_matches_window_search(*case)
 
 
 def test_checks_on_a_held_block_match_the_stream_scans():
@@ -292,8 +348,9 @@ def test_cycvec_validation():
 def test_one_flipped_sign_in_the_block_fails_every_block_check():
     block = period_profile(5)
     mutated = flipped(block, 3)  # (+1, residue 0) becomes (-1, residue 0)
-    assert not verify_basis_cancellation(5, 0, mutated).passed
-    assert verify_basis_cancellation(5, 1, mutated).passed
+    reports = verify_basis_cancellation(5, mutated)
+    assert not reports[0].passed
+    assert reports[1].passed
     assert not substitute_profile(5, 1, mutated).is_zero
     assert partial_sum_aggregate(5, mutated) != partial_sum_aggregate(5, block)
 

@@ -1,6 +1,7 @@
 """The package surface under lazy loading, and the start-up contract: a command
 imports only the modules it runs."""
 
+import ast
 import copy
 import importlib
 import os
@@ -31,7 +32,7 @@ PUBLIC = {
     ],
     "cyclotomic": [
         "BasisCancellationReport", "CycVec", "PeriodCancellationReport", "partial_sum_aggregate",
-        "period_profile", "root_of_unity", "roots_of_unity", "substitute_profile",
+        "period_profile", "roots_of_unity", "substitute_profile",
         "verify_basis_cancellation", "verify_period_cancellation",
     ],
     "summation": [
@@ -84,6 +85,23 @@ def test_brute_sigma_csv_loads_neither_json_nor_the_series_layer():
     loaded = imported("-m", "pentafold", "sigma", "--max", "5", "--method", "brute", "--format", "csv")
     assert "pentafold.sigma" in loaded
     assert loaded & {"json", "pentafold.qseries"} == set()
+
+
+def test_no_module_takes_a_root_from_cos_sin_or_cmath():
+    """root_of_unity_fixed is the one root formula: no source file reaches
+    math.cos or math.sin, or imports cmath."""
+    trig = {"cos", "sin"}
+    sources = sorted((SRC / "pentafold").glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "cmath" not in {alias.name for alias in node.names}, source
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "cmath", source
+                assert node.module != "math" or not trig & {alias.name for alias in node.names}, source
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert node.value.id != "math" or node.attr not in trig, (source, node.attr)
 
 
 def test_submodule_is_an_attribute_of_a_fresh_package():

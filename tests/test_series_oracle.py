@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pentafold.cli import FORMATS, main
 
@@ -73,6 +75,15 @@ def test_verify_periods_agrees_with_the_reference(oracle, capsys, fmt):
             argv = ["verify-periods", "--max-m", str(max_m), "--periods", str(periods)]
             params = {"kind": "verify-periods", "max_m": max_m, "periods": periods, "fmt": fmt}
             assert agreement(oracle, capsys, argv, params) is None, argv
+
+
+# capsys is read empty at each example's end, so sharing it across examples is safe
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(max_m=st.integers(1, 60), periods=st.integers(1, 5), fmt=st.sampled_from(FORMATS))
+def test_drawn_verify_periods_agrees_with_the_reference(oracle, capsys, max_m, periods, fmt):
+    argv = ["verify-periods", "--max-m", str(max_m), "--periods", str(periods)]
+    params = {"kind": "verify-periods", "max_m": max_m, "periods": periods, "fmt": fmt}
+    assert agreement(oracle, capsys, argv, params) is None, argv
 
 
 @pytest.mark.parametrize("method", ["recurrence", "brute"])

@@ -121,6 +121,10 @@ def test_certificate_passes_the_recurrence_at_scale(recurrence_30k):
 
 @pytest.mark.slow
 def test_certificate_passes_the_recurrence_at_a_million():
+    """Certifying sigma up to 10**6 also proves the pentagonal number theorem
+    to degree 10**6: the product and the pentagonal series S both have
+    constant term 1, and -x*S'/S = sum of sigma(n)*x**n then fixes every
+    later coefficient."""
     table = sigma_table(10**6, "recurrence")
     assert first_wrong_sigma(table.values, table.max_n) is None
 
