@@ -68,10 +68,9 @@ def check_sigma_table_regression() -> CriterionResult:
 
 def check_recurrence_worked_examples() -> CriterionResult:
     """Criterion 2: the recurrence traces for 12 and 13, in under 1 ms."""
-    eleven = sigma_table(11, "brute")
     twelve = sigma_table(12, "brute")
     start = time.perf_counter()
-    trace12 = recurrence_terms(12, eleven)
+    trace12 = recurrence_terms(12, twelve)
     trace13 = recurrence_terms(13, twelve)
     elapsed = time.perf_counter() - start
     ok = (
@@ -85,8 +84,9 @@ def check_recurrence_worked_examples() -> CriterionResult:
     return CriterionResult(2, "recurrence-worked-examples", ok, detail, elapsed)
 
 
-def check_oracle_equivalence(limit: int = 10**4) -> CriterionResult:
+def check_oracle_equivalence() -> CriterionResult:
     """Criterion 3: recurrence equals trial division for every n <= 10^4, < 30 s."""
+    limit = 10**4
     start = time.perf_counter()
     table = sigma_table(limit, "recurrence")
     mismatches = [n for n in range(1, limit + 1) if table[n] != sigma_brute(n)]
@@ -98,8 +98,9 @@ def check_oracle_equivalence(limit: int = 10**4) -> CriterionResult:
     return CriterionResult(3, "oracle-equivalence", ok, detail, elapsed)
 
 
-def check_product_identity(degree: int = 1000) -> CriterionResult:
+def check_product_identity() -> CriterionResult:
     """Criterion 4: the truncated product equals the sparse series, < 5 s."""
+    degree = 1000
     start = time.perf_counter()
     same = euler_product(degree) == pentagonal_series(degree)
     elapsed = time.perf_counter() - start
@@ -110,8 +111,9 @@ def check_product_identity(degree: int = 1000) -> CriterionResult:
     )
 
 
-def check_symmetric_functions(limit: int = 200) -> CriterionResult:
+def check_symmetric_functions() -> CriterionResult:
     """Criterion 5: e1..e5 and p1..p4 match, and p_k = sigma(k) through 200."""
+    limit = 200
     start = time.perf_counter()
     series = euler_product(limit)
     e = elementary_symmetric(series, 5)
@@ -123,9 +125,10 @@ def check_symmetric_functions(limit: int = 200) -> CriterionResult:
     return CriterionResult(5, "symmetric-function-values", ok, detail, elapsed)
 
 
-def check_period_cancellation(max_m: int = 24, periods: int = 5) -> CriterionResult:
+def check_period_cancellation() -> CriterionResult:
     """Criterion 6: 4m-term blocks cancel and repeat for every m <= 24, with the
     printed 8/12/16/20-term blocks reproduced verbatim; < 1 s."""
+    max_m, periods = 24, 5
     start = time.perf_counter()
     failures = [m for m in range(1, max_m + 1) if not verify_period_cancellation(m, periods).passed]
     verbatim_ok = all(period_profile(m) == block for m, block in PRINTED_BLOCKS.items())
@@ -191,8 +194,9 @@ def check_euler_summation_regressions() -> CriterionResult:
     return CriterionResult(8, "euler-summation-regressions", ok, detail, elapsed)
 
 
-def check_power_sum_identity(max_exponent: int = 10) -> CriterionResult:
+def check_power_sum_identity() -> CriterionResult:
     """Criterion 9: the branch split totals zero for every exponent <= 10."""
+    max_exponent = 10
     start = time.perf_counter()
     totals = [pentagonal_power_sum(ex).total for ex in range(max_exponent + 1)]
     elapsed = time.perf_counter() - start

@@ -101,16 +101,10 @@ def interpolated_sequence(count: int) -> list[Fraction]:
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     out: list[Fraction] = []
-    k = 1
-    while len(out) < count:
-        out.append(Fraction(pentagonal(k, Branch.MINUS)))
-        if len(out) < count:
-            out.append(Fraction(pentagonal(k, Branch.PLUS)))
-        if len(out) < count:
-            side = 3 * k + 1
-            out.append(Fraction(side * (side + 1), 6))
-        k += 1
-    return out
+    for k in range(1, count // 3 + 2):
+        minus, plus, side = pentagonal(k, Branch.MINUS), pentagonal(k, Branch.PLUS), 3 * k + 1
+        out += Fraction(minus), Fraction(plus), Fraction(side * (side + 1), 6)
+    return out[:count]
 
 
 def is_pentagonal(value: int) -> tuple[int, Branch] | None:

@@ -5,7 +5,7 @@ symmetric functions and power sums of the reciprocal roots."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import compress
 from operator import sub
@@ -156,12 +156,13 @@ def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> li
     n0 + 1, so extending a list costs O((count - n0) * nonzeros).  It is
     trusted as given: a wrong prefix gives wrong sums after it.
 
-    The rows are computed BLOCK at a time.  A degree j >= BLOCK with j <= K,
-    the block's first row, reads only rows before K (p[0] = 0 stands in at
-    j = k), so for the block it is one slice p[K-j : K+BLOCK-j]; the slices are
-    summed column by column at C level, one sum per coefficient value, and
-    scaled once.  Only the other degrees, j < BLOCK and j > K, are read row by
-    row, each from the first row k > j.
+    The rows are computed BLOCK at a time, with BLOCK zeros kept in front of
+    p, so that p[BLOCK + n] is p_n and every n <= 0 reads 0 (p_0 = 0 stands in
+    at j = k, and degrees j > k add nothing).  A degree j >= BLOCK reads only
+    rows before the block, so for the block from row K to row L - 1 it is one
+    slice p[BLOCK+K-j : BLOCK+L-j]; the slices are summed column by column at
+    C level, one sum per coefficient value, and scaled once.  Only the degrees
+    j < BLOCK are read row by row.
     """
     _require_monic(series, count)
     if len(known) > count:
@@ -170,20 +171,16 @@ def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> li
     support = [(j, c) for j, c in series.nonzero()[1:] if j <= count]
     degrees = [j for j, _ in support]
     low = bisect_left(degrees, BLOCK)  # support[:low] holds the degrees j < BLOCK
-    p = [0, *known] + [0] * (count - len(known))
+    near = support[:low]
+    p = [0] * (BLOCK + 1) + [*known] + [0] * (count - len(known))
     for start in range(len(known) + 1, count + 1, BLOCK):
         stop = min(start + BLOCK, count + 1)
-        far = max(low, bisect_right(degrees, start))  # support[low:far]: BLOCK <= j <= start
         slices: dict[int, list[list[int]]] = {}
-        for j, c in support[low:far]:
-            slices.setdefault(c, []).append(p[start - j : stop - j])
+        for j, c in support[low : bisect_left(degrees, stop)]:
+            slices.setdefault(c, []).append(p[BLOCK + start - j : BLOCK + stop - j])
         columns = [0] * (stop - start)
         for c, group in slices.items():
             columns = [t + c * s for t, s in zip(columns, map(sum, zip(*group)))]
-        near = support[:low] + support[far:]  # read row by row
-        live = min(low, bisect_left(degrees, start))  # near[:live] holds the degrees j < k
-        for k, column in zip(range(start, stop), columns):
-            if live < len(near) and near[live][0] < k:
-                live += 1
-            p[k] = -k * a[k] - column - sum([c * p[k - j] for j, c in near[:live]])
-    return p[1:]
+        for row, k, column in zip(range(BLOCK + start, BLOCK + stop), range(start, stop), columns):
+            p[row] = -k * a[k] - column - sum([c * p[row - j] for j, c in near])
+    return p[BLOCK + 1 :]

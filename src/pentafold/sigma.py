@@ -1,13 +1,12 @@
 """Divisor sums two ways: by the divisors themselves (trial division for one
 n, a sieve for a table), and by the recurrence over pentagonal subtrahends with
 its boundary rule (a subtrahend hitting n contributes n).  A table read from
-disk is certified by multiplicativity before use."""
+disk is certified against the divisor sieve before use."""
 
 from __future__ import annotations
 
 import os
 import re
-from itertools import repeat
 from math import isqrt
 from operator import add
 from pathlib import Path
@@ -89,13 +88,18 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     if method not in ("brute", "recurrence"):
         raise ValueError(f"method must be 'brute' or 'recurrence', got {method!r}")
     if method == "brute":
-        values = [0] * (max_n + 1)
-        for d in range(1, isqrt(max_n) + 1):
-            square = d * d
-            values[square::d] = map(add, values[square::d], range(2 * d, d + max_n // d + 1))
-            values[square] -= d
-        return SigmaTable(max_n, values)
+        return SigmaTable(max_n, _divisor_sieve(max_n))
     return extend_table(SigmaTable(0, [0]), max_n)
+
+
+def _divisor_sieve(max_n: int) -> list[int]:
+    """[0, sigma(1), ..., sigma(max_n)] by the paired sieve of sigma_table."""
+    values = [0] * (max_n + 1)
+    for d in range(1, isqrt(max_n) + 1):
+        square = d * d
+        values[square::d] = map(add, values[square::d], range(2 * d, d + max_n // d + 1))
+        values[square] -= d
+    return values
 
 
 def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
@@ -109,44 +113,16 @@ def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
     return SigmaTable(max_n, values)
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[n] = the smallest prime dividing n, for 2 <= n <= limit."""
-    spf = list(range(limit + 1))
-    root = isqrt(limit)
-    composite = bytearray(root + 1)
-    primes = []
-    for p in range(2, root + 1):
-        if not composite[p]:
-            primes.append(p)
-            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
-    for p in reversed(primes):  # the smallest prime writes last
-        spf[p * p :: p] = repeat(p, len(range(p * p, limit + 1, p)))
-    return spf
-
-
 def first_wrong_sigma(values: list[int], upto: int) -> int | None:
-    """The least n in 1..upto with values[n] != sigma(n), or None.
-
-    An O(upto) certificate that computes no divisor sum: sigma(1) = 1, and
-    with p the smallest prime of n = p*q, multiplicativity gives
-    sigma(n) = (p+1)*sigma(q) - p*sigma(q/p) when p divides q, else
-    (p+1)*sigma(q).  Each row is checked against the stored rows below it, so
-    by induction on n a table that passes holds sigma(1..upto).
-    """
+    """The least n in 1..upto with values[n] != sigma(n), or None.  Rows
+    1..upto (not the sentinel values[0]) are compared with the divisor sieve in
+    one C-level list comparison; only a table that differs is scanned."""
     if upto < 1:
         return None
-    if values[1] != 1:
-        return 1
-    spf = _smallest_prime_factors(upto)
-    for n in range(2, upto + 1):
-        p = spf[n]
-        q = n // p
-        expected = (p + 1) * values[q]
-        if q % p == 0:
-            expected -= p * values[q // p]
-        if values[n] != expected:
-            return n
-    return None
+    expected = _divisor_sieve(upto)
+    if values[1 : upto + 1] == expected[1:]:
+        return None
+    return next(n for n in range(1, upto + 1) if values[n] != expected[n])
 
 
 def save_table(table: SigmaTable, path: str | Path) -> None:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
@@ -144,27 +145,15 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
         raise ValueError(f"tolerance {tolerance} is too small: its tenth underflows to 0")
     log_rho = math.log(rho)
 
-    def tail(cap: int) -> float:
+    def clears(cap: int) -> bool:
         arg = exponent * math.log(cap) + cap * log_rho
-        if arg > 700.0:
-            return math.inf
-        return math.exp(arg) / (1.0 - rho)
+        return arg <= 700.0 and math.exp(arg) / (1.0 - rho) < bound
 
     start = 1 if exponent == 0 else max(1, math.ceil(exponent / -log_rho))
-    if tail(start) < bound:
-        needed = start
-    else:
-        high = start
-        while tail(high) >= bound:
-            high *= 2
-        low = max(start, high // 2)
-        while low + 1 < high:
-            mid = (low + high) // 2
-            if tail(mid) < bound:
-                high = mid
-            else:
-                low = mid
-        needed = high
+    high = start
+    while not clears(high):
+        high *= 2
+    needed = start + bisect_left(range(start, high + 1), True, key=clears)
     if needed > HARD_EXPONENT_CAP:
         raise TruncationInfeasibleError(needed, HARD_EXPONENT_CAP)
     return needed

@@ -218,6 +218,20 @@ def test_power_sums_at_block_edges(count):
                 assert power_sums(series, count, known=reference[:n0]) == reference
 
 
+def test_power_sums_sweep_every_count_and_every_prefix():
+    # every count through three blocks, and every known prefix at count 200,
+    # on the pentagonal series and on one with a coefficient at every degree;
+    # p_1..p_count do not depend on the count, so one reference serves all
+    cap = max(3 * BLOCK, 200)
+    dense = DenseSeries((1, *(((d * 7) % 11 - 5) for d in range(1, cap + 1))))
+    for series in (dense, pentagonal_series(cap)):
+        reference = newton_reference(series.coeffs, cap)
+        for count in range(1, 3 * BLOCK + 1):
+            assert power_sums(series, count) == reference[:count]
+        for n0 in range(201):
+            assert power_sums(series, 200, known=reference[:n0]) == reference[:200]
+
+
 def test_symmetric_function_domain_errors():
     series = euler_product(5)
     with pytest.raises(ValueError):

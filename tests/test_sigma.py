@@ -1,7 +1,8 @@
 """Divisor sums: brute oracle, recurrence, boundary rule, persistence."""
 
 import errno
-from math import gcd
+from itertools import repeat
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,65 @@ def test_certificate_finds_a_planted_error_at_a_large_prime():
 
 def test_certificate_of_no_rows_passes():
     assert first_wrong_sigma([0], 0) is None
+
+
+def smallest_prime_factors(limit):
+    """spf[n] = the smallest prime dividing n, for 2 <= n <= limit."""
+    spf = list(range(limit + 1))
+    root = isqrt(limit)
+    composite = bytearray(root + 1)
+    primes = []
+    for p in range(2, root + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
+    for p in reversed(primes):  # the smallest prime writes last
+        spf[p * p :: p] = repeat(p, len(range(p * p, limit + 1, p)))
+    return spf
+
+
+def multiplicative_certificate(values, upto):
+    """Reference: the certificate first_wrong_sigma once was, computing no
+    divisor sum.  sigma(1) = 1, and with p the smallest prime of n = p*q,
+    sigma(n) = (p+1)*sigma(q) - p*sigma(q/p) when p divides q, else
+    (p+1)*sigma(q); each row is checked against the stored rows below it, so
+    the first row flagged is the least wrong one."""
+    if upto < 1:
+        return None
+    if values[1] != 1:
+        return 1
+    spf = smallest_prime_factors(upto)
+    for n in range(2, upto + 1):
+        p = spf[n]
+        q = n // p
+        expected = (p + 1) * values[q]
+        if q % p == 0:
+            expected -= p * values[q // p]
+        if values[n] != expected:
+            return n
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    max_n=st.integers(1, 2000),
+    changes=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(-3, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    upto=st.integers(0, 10**6),
+)
+def test_certificate_finds_what_the_multiplicative_reference_finds(max_n, changes, upto):
+    values = sigma_table(max_n, "brute").values
+    for swap, i, j, delta in changes:
+        i, j = i % (max_n + 1), j % (max_n + 1)  # the sentinel at index 0 is drawn too
+        if swap:
+            values[i], values[j] = values[j], values[i]
+        else:
+            values[i] += delta
+    upto %= max_n + 1
+    assert first_wrong_sigma(values, upto) == multiplicative_certificate(values, upto)
 
 
 def test_extend_resumes_the_recurrence():

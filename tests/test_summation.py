@@ -251,6 +251,36 @@ def test_required_cap_infeasible_names_needed_value():
     assert str(exc.value.needed) in str(exc.value)
 
 
+def clears_tail_bound(exponent, rho, tolerance, cap):
+    """Whether cap**exponent * rho**cap / (1 - rho) lies below tolerance/10,
+    with anything past exp(700) counted as not below it."""
+    arg = exponent * math.log(cap) + cap * math.log(rho)
+    return arg <= 700.0 and math.exp(arg) / (1.0 - rho) < tolerance / 10.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponent=st.integers(0, 30),
+    rho=st.floats(0.01, 0.9999999),
+    tolerance=st.floats(1e-320, 0.1),
+)
+@example(exponent=1, rho=0.9999999, tolerance=1e-9)  # infeasible
+@example(exponent=30, rho=0.9999999, tolerance=1e-320)
+@example(exponent=0, rho=0.01, tolerance=0.1)
+def test_required_cap_is_the_least_cap_past_the_peak_that_clears_the_bound(exponent, rho, tolerance):
+    start = 1 if exponent == 0 else max(1, math.ceil(exponent / -math.log(rho)))
+    try:
+        cap = required_exponent_cap(exponent, rho, tolerance)
+    except TruncationInfeasibleError as exc:
+        cap = exc.needed
+        assert cap > summation.HARD_EXPONENT_CAP
+    else:
+        assert cap <= summation.HARD_EXPONENT_CAP
+    assert cap >= start
+    assert clears_tail_bound(exponent, rho, tolerance, cap)
+    assert cap == start or not clears_tail_bound(exponent, rho, tolerance, cap - 1)
+
+
 def test_abel_parameter_validation():
     with pytest.raises(ValueError):
         abel_evaluate(0, 0, 0, 0.5)
