@@ -7,13 +7,8 @@ partial sums within each residue class -- the basis of the series -- sum to
 zero over one period.
 """
 
-from pentafold import (
-    period_profile,
-    roots_of_unity,
-    substitute_profile,
-    verify_basis_cancellation,
-    verify_period_cancellation,
-)
+from pentafold import period_profile, verify_basis_cancellation, verify_period_cancellation
+from pentafold.cyclotomic import root_of_unity_fixed
 
 
 def render_block(m):
@@ -25,15 +20,18 @@ def render_block(m):
 
 
 print("Fifth roots of unity in trigonometric form:")
-for i, root in enumerate(roots_of_unity(5)):
-    print(f"  i={i}:  {root.real:+.6f} {root.imag:+.6f}i")
+for i in range(5):  # each fixed-point part is within 2**-63 of exact
+    cos, sin = (part / 2**64 for part in root_of_unity_fixed(5, i, 64))
+    print(f"  i={i}:  {cos:+.6f} {sin:+.6f}i")
 print()
 
 for m in (2, 3, 5):
     print(f"One 4m-term block for m={m} (a stands for the chosen root):")
     print("  " + render_block(m))
-    image = substitute_profile(m, 1, period_profile(m))
-    print(f"  exact sum of the block as coordinates on a^0..a^{m-1}: {image.coords}")
+    image = [0] * m  # at the root a itself, the term at residue r lands on a^r
+    for sign, residue in period_profile(m):
+        image[residue] += sign
+    print(f"  exact sum of the block as coordinates on a^0..a^{m-1}: {tuple(image)}")
     print()
 
 print("Blocks keep cancelling and keep repeating (5 blocks each, m <= 24):")

@@ -45,12 +45,9 @@ _LAZY = {
     ),
     "cyclotomic": (
         "BasisCancellationReport",
-        "CycVec",
         "PeriodCancellationReport",
         "partial_sum_aggregate",
         "period_profile",
-        "roots_of_unity",
-        "substitute_profile",
         "verify_basis_cancellation",
         "verify_period_cancellation",
     ),

@@ -154,8 +154,8 @@ def cmd_verify_periods(args) -> tuple[list[tuple], list[str], bool]:
         block = period_profile(m)  # the first 4m terms, read by every check below
         aggregate = partial_sum_aggregate(m, block)
         all_ok &= periods.passed
-        signed_sum = 0 if periods.passed else len(periods.violations)
-        basis_sum = max(map(abs, aggregate.coords))
+        signed_sum = len(periods.violations)
+        basis_sum = max(map(abs, aggregate))
         verdict = "PASS" if periods.passed else "FAIL"
         rows.append((m, "-", periods.block_length, signed_sum, basis_sum, verdict))
         for basis in verify_basis_cancellation(m, block):
@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         rows, columns, passed = HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"pentafold: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # str(MemoryError()) is empty
+        print(f"pentafold: {args.command}: not enough memory for this request", file=sys.stderr)
         return 2
     if args.command == "sum" and args.format == "table":
         print("s=%s t=%s total=%s" % rows[0][1:])

@@ -1,7 +1,7 @@
-"""Exact bookkeeping over formal integer combinations of the m-th roots of
-unity, the roots themselves in trigonometric form, and the cancellation checks
-on the signed pentagonal term stream: the 4m-term block, proven to repeat, and
-the substitution, residue-class and partial-sum checks read from it."""
+"""The cancellation checks on the signed pentagonal term stream, read from its
+(sign, exponent mod m) profile: the 4m-term block, proven to repeat, and the
+residue-class and partial-sum checks read from it; and the m-th roots of unity
+in exact fixed point, which the damped sums weight their class sums by."""
 
 from __future__ import annotations
 
@@ -10,31 +10,6 @@ from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .pentagonal import iter_signed_values
-
-
-class _CycVecFields(NamedTuple):
-    m: int
-    coords: tuple[int, ...]
-
-
-class CycVec(_CycVecFields):
-    """Integer coordinates on the powers alpha^0 .. alpha^(m-1) of a primitive
-    m-th root alpha; exponent arithmetic happens mod m before anything lands
-    here, so the representation is exact."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, coords: tuple[int, ...]) -> CycVec:
-        if m < 1:
-            raise ValueError(f"order must be positive, got {m}")
-        if len(coords) != m:
-            raise ValueError(f"need exactly {m} coordinates, got {len(coords)}")
-        return super().__new__(cls, m, coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 _GUARD_BITS = 20  # absorbs the truncation errors below, a few units per series term
 
@@ -84,19 +59,19 @@ def root_of_unity_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
     return cos >> _GUARD_BITS, sin >> _GUARD_BITS
 
 
-def roots_of_unity(m: int) -> list[complex]:
-    """All m roots of x^m = 1, entry j being root_of_unity_fixed(m, j, 64) with
-    each part rounded once to float, so 1, -1, i and -i come out exact."""
+def _check_residues(m: int, block: Iterable[tuple[int, int]] = ()) -> None:
+    """Refuse a modulus below 1, or a block position whose residue lies outside 0..m-1."""
     if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
-    return [complex(*(part / 2**64 for part in root_of_unity_fixed(m, j, 64))) for j in range(m)]
+        raise ValueError(f"modulus must be positive, got {m}")
+    bad = next((residue for _, residue in block if not 0 <= residue < m), None)
+    if bad is not None:
+        raise ValueError(f"residue must lie in 0..{m - 1}, got {bad}")
 
 
 def iter_profile(m: int) -> Iterator[tuple[int, int]]:
     """(sign, exponent mod m) over stream positions 0, 1, 2, ...; position 0 is
     the constant term, +1 at residue 0."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    _check_residues(m)
     yield 1, 0
     for value, sign in iter_signed_values():
         yield sign, value % m
@@ -106,18 +81,6 @@ def period_profile(m: int) -> list[tuple[int, int]]:
     """One 4m-position block of (sign, residue); the stream repeats it forever,
     since values are congruent mod m under k -> k + 2m and signs under k -> k + 2."""
     return list(islice(iter_profile(m), 4 * m))
-
-
-def substitute_profile(m: int, i: int, profile: Iterable[tuple[int, int]]) -> CycVec:
-    """Image of the given (sign, residue mod m) stream positions after writing
-    the i-th m-th root in place of x; negative i reaches the reciprocal roots.
-    Exact: exponents reduce mod m, coordinates accumulate.  On period_profile(m)
-    this is one block; on islice(iter_profile(m), n) it is the first n terms.
-    The signs may be any integer weights."""
-    coords = [0] * m
-    for sign, residue in profile:
-        coords[(residue * i) % m] += sign
-    return CycVec(m, tuple(coords))
 
 
 class PeriodCancellationReport(NamedTuple):
@@ -138,8 +101,7 @@ def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport
     count at every residue is zero within each block, and (b) every block
     repeats block 0's (sign, residue) profile position-for-position.
     Violations are report content, not errors."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    _check_residues(m)
     if periods < 1:
         raise ValueError(f"period count must be positive, got {periods}")
     block_length = 4 * m
@@ -192,12 +154,9 @@ def verify_basis_cancellation(
     period must sum to zero and so must its L running partial sums (zero mean
     partial sum, the averaging reading of the cancellation).  The stream
     repeats its block, so each class repeats these signs forever."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    _check_residues(m, block)
     classes: list[list[int]] = [[] for _ in range(m)]
     for sign, residue in block:
-        if not 0 <= residue < m:
-            raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
         classes[residue].append(sign)
     reports = []
     for residue, signs in enumerate(classes):
@@ -215,17 +174,18 @@ def verify_basis_cancellation(
     return reports
 
 
-def partial_sum_aggregate(m: int, block: list[tuple[int, int]]) -> CycVec:
-    """Coordinate-wise sum of the leading partial sums of block, which is
-    period_profile(m): the term at position t lies in the last len(block) - t
-    of them, so coordinate r is the sum of sign * (len(block) - t) over the
-    positions t of residue r, O(len(block)) in all.
+def partial_sum_aggregate(m: int, block: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The sum of the leading partial sums of block, which is period_profile(m),
+    as m coordinates, one per residue: the term at position t lies in the last
+    len(block) - t of them, so coordinate r is the sum of sign * (len(block) - t)
+    over the positions t of residue r, O(len(block)) in all.
 
     This aggregate is reported alongside the period checks rather than
     asserted in general; only the smallest cases are pinned down elsewhere.
     """
+    _check_residues(m, block)
     coords = [0] * m
     length = len(block)
     for t, (sign, residue) in enumerate(block):
         coords[residue] += sign * (length - t)
-    return CycVec(m, tuple(coords))
+    return tuple(coords)

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -15,6 +18,7 @@ from pentafold.cli import HANDLERS, build_parser, main, render
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -386,6 +390,36 @@ def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# Run in a child whose address space is capped at 1 GiB, so each request fails
+# its first large allocation instead of asking the host for gigabytes.
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pentafold.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--max", "1000000000"],
+        ["verify-pnt", "--degree", "1000000000"],
+        ["verify-powersums", "--count", "100000000"],
+    ],
+)
+def test_out_of_memory_exits_two_with_one_line(argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"pentafold: {argv[0]}: not enough memory for this request"]
 
 
 def test_corrupt_cache_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Roots of unity, stream substitution, and the cancellation checks read from
-one 4m-term block."""
+"""The roots of unity in fixed point, the stream's residue sums at a root,
+and the cancellation checks read from one 4m-term block."""
 
 import math
 from itertools import cycle, islice
@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from pentafold import (
     BasisCancellationReport,
-    CycVec,
     cyclotomic,
     iter_terms,
     partial_sum_aggregate,
     period_profile,
-    roots_of_unity,
-    substitute_profile,
     verify_basis_cancellation,
     verify_period_cancellation,
 )
@@ -39,10 +36,22 @@ BLOCK_M5 = [
 ]
 
 
-def substitute_prefix(m: int, i: int, term_count: int) -> CycVec:
-    """The first term_count stream terms (constant included) with the i-th
-    m-th root written in place of x."""
-    return substitute_profile(m, i, islice(iter_profile(m), term_count))
+ONE = 1 << 64  # the scale of the fixed-point roots below
+
+
+def prefix_residue_sums(m: int, term_count: int) -> tuple[int, ...]:
+    """The signed count at each residue over the first term_count stream
+    terms (constant included): that prefix at a primitive m-th root a, as
+    coordinates on a^0 .. a^(m-1)."""
+    sums = [0] * m
+    for sign, residue in islice(iter_profile(m), term_count):
+        sums[residue] += sign
+    return tuple(sums)
+
+
+def float_root(m: int, j: int) -> complex:
+    """root_of_unity_fixed(m, j, 64) with each part rounded once to float."""
+    return complex(*(part / ONE for part in root_of_unity_fixed(m, j, 64)))
 
 
 def class_signs(m: int, residue: int, count: int) -> list[int]:
@@ -67,11 +76,12 @@ def numeric_stream_value(m: int, i: int, term_count: int) -> complex:
 
 
 def test_roots_of_unity_small_orders():
-    assert roots_of_unity(1) == [1]
-    assert roots_of_unity(2) == [1, -1]
-    assert roots_of_unity(4) == [1, 1j, -1, -1j]  # the quarter turns are exact
+    # the quarter turns are exact
+    assert root_of_unity_fixed(1, 0, 64) == (ONE, 0)
+    assert [root_of_unity_fixed(2, j, 64) for j in range(2)] == [(ONE, 0), (-ONE, 0)]
+    assert [root_of_unity_fixed(4, j, 64) for j in range(4)] == [(ONE, 0), (0, ONE), (-ONE, 0), (0, -ONE)]
     with pytest.raises(ValueError):
-        roots_of_unity(0)
+        root_of_unity_fixed(0, 0, 64)
 
 
 def test_single_root_reduces_the_exponent_mod_m():
@@ -84,60 +94,54 @@ def test_single_root_reduces_the_exponent_mod_m():
 
 
 def test_fifth_root_matches_radical_expression():
-    root = roots_of_unity(5)[1]
-    assert abs(root.real - (-1 + math.sqrt(5)) / 4) < 1e-12
-    assert abs(root.imag - math.sqrt(10 + 2 * math.sqrt(5)) / 4) < 1e-12
+    # cos(2pi/5) = (sqrt 5 - 1)/4 and sin(2pi/5) = sqrt(10 + 2 sqrt 5)/4, taken
+    # at 2**96 by isqrt (a few units there) against the root at 2**64 shifted up
+    cos, sin = root_of_unity_fixed(5, 1, 64)
+    scale = 1 << 96
+    sqrt5 = math.isqrt(5 * scale * scale)
+    exact_cos = (sqrt5 - scale) // 4
+    exact_sin = math.isqrt((10 * scale + 2 * sqrt5) * scale) // 4
+    assert abs((cos << 32) - exact_cos) <= (2 << 32) + 4
+    assert abs((sin << 32) - exact_sin) <= (2 << 32) + 4
 
 
 def test_root_invariants():
     for m in range(1, 13):
-        for root in roots_of_unity(m):
-            assert abs(root.real**2 + root.imag**2 - 1.0) < 1e-12
-            assert abs(root**m - 1.0) < 1e-9
+        for j in range(m):
+            cos, sin = root_of_unity_fixed(m, j, 64)
+            # each part within 2 units: |cos^2 + sin^2 - ONE^2| <= 2*2*sqrt(2)*ONE + 8
+            assert abs(cos * cos + sin * sin - ONE * ONE) <= 6 * ONE
+            assert abs(float_root(m, j) ** m - 1.0) < 1e-9
 
 
 def test_conjugate_of_each_root_is_a_root():
+    # root m - j is the conjugate of root j; each part is within 2 units of
+    # exact, so the two may differ by up to 4
     for m in range(1, 13):
-        snapshot = {(round(r.real, 9), round(r.imag, 9)) for r in roots_of_unity(m)}
-        conjugates = {(re, -im) for re, im in snapshot}
-        assert conjugates == snapshot
+        for j in range(m):
+            cos, sin = root_of_unity_fixed(m, j, 64)
+            conj_cos, conj_sin = root_of_unity_fixed(m, m - j, 64)
+            assert abs(cos - conj_cos) <= 4 and abs(sin + conj_sin) <= 4
 
 
 def test_substitute_stream_examples():
-    assert substitute_prefix(1, 1, 4).coords == (0,)
-    assert substitute_prefix(2, 1, 8).is_zero
-    assert substitute_prefix(3, 1, 12).is_zero
+    assert prefix_residue_sums(1, 4) == (0,)
+    assert prefix_residue_sums(2, 8) == (0, 0)
+    assert prefix_residue_sums(3, 12) == (0, 0, 0)
 
 
 def test_substitute_stream_partial_period_m2():
     # first three terms: 1 - alpha - 1 -> coordinates (0, -1)
-    assert substitute_prefix(2, 1, 3).coords == (0, -1)
-
-
-def test_exponent_reduction_mod_order():
-    for m in range(1, 13):
-        for i in range(0, 2 * m + 1):
-            for count in (1, 7, 50, 200):
-                assert substitute_prefix(m, i, count) == substitute_prefix(m, i + m, count)
-
-
-def test_negative_index_reaches_reciprocal_roots():
-    for m in range(1, 9):
-        assert substitute_prefix(m, -1, 60) == substitute_prefix(m, m - 1, 60)
-
-
-def test_full_periods_cancel_exactly():
-    for m in range(1, 25):
-        for multiple in (1, 2, 3):
-            assert substitute_prefix(m, 1, 4 * m * multiple) == CycVec(m, (0,) * m)
+    assert prefix_residue_sums(2, 3) == (0, -1)
 
 
 def test_numeric_and_exact_agree():
+    # at the i-th root, the term at residue r is weighted by root r*i
     for m in range(1, 9):
         for i in range(m):
             for count in (1, 25, 100):
-                coords = substitute_prefix(m, i, count).coords
-                exact = sum((c * root for c, root in zip(coords, roots_of_unity(m))), 0j)
+                sums = prefix_residue_sums(m, count)
+                exact = sum((c * float_root(m, r * i) for r, c in enumerate(sums)), 0j)
                 numeric = numeric_stream_value(m, i, count)
                 assert abs(exact - numeric) < 1e-9
 
@@ -288,33 +292,17 @@ def test_grouped_basis_check_matches_the_window_search_on_drawn_blocks(case):
     assert_grouped_matches_window_search(*case)
 
 
-def test_checks_on_a_held_block_match_the_stream_scans():
-    for m in range(1, 13):
-        block = period_profile(m)
-        for i in range(m):
-            assert substitute_profile(m, i, block) == substitute_prefix(m, i, 4 * m)
-
-
-def test_the_image_at_root_i_folds_the_image_at_root_one():
-    for m in range(1, 49):
-        block = period_profile(m)
-        for held in (block, flipped(block, m)):
-            classes = list(zip(substitute_profile(m, 1, held).coords, range(m)))
-            for i in range(m):
-                assert substitute_profile(m, i, classes) == substitute_profile(m, i, held)
-
-
 def test_partial_sum_aggregate_pinned_cases():
     # the four running sums 1, 0, -1, 0 and the eight of the m=2 block
-    assert partial_sum_aggregate(1, period_profile(1)) == CycVec(1, (0,))
-    assert partial_sum_aggregate(2, BLOCK_M2) == CycVec(2, (0, 0))
+    assert partial_sum_aggregate(1, period_profile(1)) == (0,)
+    assert partial_sum_aggregate(2, BLOCK_M2) == (0, 0)
 
 
 def test_partial_sum_aggregate_reported_for_larger_orders():
     for m in range(3, 13):
         aggregate = partial_sum_aggregate(m, period_profile(m))
-        assert aggregate.m == m
-        assert len(aggregate.coords) == m
+        assert isinstance(aggregate, tuple)
+        assert len(aggregate) == m
 
 
 def running_sum_aggregate(m, block):
@@ -325,7 +313,7 @@ def running_sum_aggregate(m, block):
         running[residue] += sign
         for r in range(m):
             coords[r] += running[r]
-    return CycVec(m, tuple(coords))
+    return tuple(coords)
 
 
 def test_partial_sum_aggregate_matches_the_running_sums():
@@ -338,11 +326,18 @@ def test_partial_sum_aggregate_matches_the_running_sums():
             )
 
 
-def test_cycvec_validation():
-    with pytest.raises(ValueError):
-        CycVec(3, (1, 2))
-    with pytest.raises(ValueError):
-        CycVec(0, ())
+def test_partial_sum_aggregate_rejects_bad_residue():
+    for residue in (-1, 5):
+        with pytest.raises(ValueError, match=f"got {residue}$"):
+            partial_sum_aggregate(5, [*BLOCK_M5, (1, residue)])
+    with pytest.raises(ValueError, match="got 0$"):
+        partial_sum_aggregate(0, [])
+    with pytest.raises(ValueError, match=r"^residue must lie in 0\.\.2, got -1$"):
+        partial_sum_aggregate(3, [(1, -1)])
+    with pytest.raises(ValueError, match=r"^residue must lie in 0\.\.2, got 3$"):
+        partial_sum_aggregate(3, [(1, 3)])
+    with pytest.raises(ValueError, match="^modulus must be positive, got 0$"):
+        partial_sum_aggregate(0, [(1, 0)])
 
 
 def test_one_flipped_sign_in_the_block_fails_every_block_check():
@@ -351,7 +346,6 @@ def test_one_flipped_sign_in_the_block_fails_every_block_check():
     reports = verify_basis_cancellation(5, mutated)
     assert not reports[0].passed
     assert reports[1].passed
-    assert not substitute_profile(5, 1, mutated).is_zero
     assert partial_sum_aggregate(5, mutated) != partial_sum_aggregate(5, block)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import pentafold
-from pentafold import CycVec, DenseSeries, PentagonalTerm, PeriodCancellationReport
+from pentafold import DenseSeries, PentagonalTerm, PeriodCancellationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,9 +31,8 @@ PUBLIC = {
         "pentagonal_series", "power_sums",
     ],
     "cyclotomic": [
-        "BasisCancellationReport", "CycVec", "PeriodCancellationReport", "partial_sum_aggregate",
-        "period_profile", "roots_of_unity", "substitute_profile",
-        "verify_basis_cancellation", "verify_period_cancellation",
+        "BasisCancellationReport", "PeriodCancellationReport", "partial_sum_aggregate",
+        "period_profile", "verify_basis_cancellation", "verify_period_cancellation",
     ],
     "summation": [
         "HARD_EXPONENT_CAP", "DifferenceTable", "NonPolynomialSequenceError", "PowerSumSplit",
@@ -138,20 +137,16 @@ def test_unknown_attribute_raises_attribute_error():
 def test_records_keep_the_dataclass_repr_equality_and_immutability():
     term = PentagonalTerm(1, pentafold.Branch.PLUS, 2, -1)
     assert repr(term) == "PentagonalTerm(k=1, branch=<Branch.PLUS: 'plus'>, value=2, sign=-1)"
-    assert repr(CycVec(2, (0, 0))) == "CycVec(m=2, coords=(0, 0))"
     assert repr(DenseSeries((1,))) == "DenseSeries(coeffs=(1,))"
     for make in [
-        lambda: CycVec(2, (1, -1)),
         lambda: DenseSeries((1, -1)),
         lambda: PeriodCancellationReport(1, 2, 4, ()),
     ]:
         assert make() == make() and hash(make()) == hash(make())
         assert copy.deepcopy(make()) == make() == pickle.loads(pickle.dumps(make()))
-    assert CycVec(2, (1, -1)) != CycVec(2, (-1, 1))
     assert DenseSeries((1,)) != (1,)
     for record, field in [
         (term, "k"),
-        (CycVec(2, (0, 0)), "m"),
         (DenseSeries((1,)), "coeffs"),
         (PeriodCancellationReport(1, 2, 4, ()), "violations"),
     ]:

@@ -1,5 +1,6 @@
-"""The series, period and sigma commands against the benchmark's references:
-perfbench/oracles.py rebuilds every expected row without importing pentafold."""
+"""The series, period, sigma and short commands against the benchmark's
+references: perfbench/oracles.py rebuilds every expected row without importing
+pentafold."""
 
 import ast
 import importlib.util
@@ -14,15 +15,26 @@ from pentafold.cli import FORMATS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = ROOT / "perfbench" / "oracles.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def oracle():
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.Oracle(sigma_limit=300)
+    return load_by_path("perfbench_oracles", ORACLES).Oracle(sigma_limit=300)
+
+
+@pytest.fixture(scope="module")
+def edge_requests():
+    """The benchmark's damped requests whose value lies beyond float range."""
+    return load_by_path("perfbench_workloads", WORKLOADS).EDGE_REQUESTS
 
 
 def imported_packages(path: Path) -> set[str]:
@@ -100,3 +112,38 @@ def test_sigma_through_a_cache_agrees_with_the_reference(oracle, capsys, monkeyp
         params = {"kind": "sigma", "max": top, "fmt": fmt}
         assert agreement(oracle, capsys, argv, params) is None, argv
     assert len(cache.read_bytes().splitlines()) == 300
+
+
+@st.composite
+def short_commands(draw, edge_requests):
+    """(argv, oracle params) for one seq (any mode), sum, abel (at a root or a
+    residue class) or beyond-float-range abel request, in a drawn format."""
+    kind = draw(st.sampled_from(("seq", "sum", "abel", "edge")))
+    if kind == "seq":
+        mode = draw(st.sampled_from(("plain", "include-zero", "differences", "interpolated", "is-pentagonal")))
+        params = {"kind": "seq", "mode": mode, "count": draw(st.integers(1, 500))}
+        if mode == "is-pentagonal":
+            params["value"] = draw(st.integers(0, 10**6))
+            argv = ["seq", "--is-pentagonal", str(params["value"])]
+        else:
+            argv = ["seq", "--count", str(params["count"])] + ([] if mode == "plain" else ["--" + mode])
+    elif kind == "sum":
+        params = {"kind": "sum", "exponent": draw(st.integers(0, 12))}
+        argv = ["sum", "--lambda", str(params["exponent"])]
+    elif kind == "abel":
+        exponent, m, point = draw(st.integers(0, 3)), draw(st.integers(1, 12)), draw(st.sampled_from("ir"))
+        index, rho = draw(st.integers(0, m - 1)), draw(st.sampled_from((0.99, 0.999)))
+        params = {"kind": "abel", "exponent": exponent, "m": m, point: index, "rho": rho}
+        argv = ["abel", "--lambda", str(exponent), "--m", str(m), f"--{point}", str(index), "--rho", repr(rho)]
+    else:
+        edge = draw(st.sampled_from(edge_requests))
+        params = {"kind": "abel", **{key: value for key, value in edge.items() if key != "argv"}}
+        argv = ["abel", *edge["argv"]]
+    return argv, {**params, "fmt": draw(st.sampled_from(FORMATS))}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_short_commands_agree_with_the_reference(oracle, edge_requests, capsys, data):
+    argv, params = data.draw(short_commands(edge_requests))
+    assert agreement(oracle, capsys, argv, params) is None, argv
