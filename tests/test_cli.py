@@ -278,6 +278,8 @@ def test_verify_pnt_dump_lists_nonzero_coefficients(capsys):
         ("powersums_80.csv", ["verify-powersums", "--count", "80"]),
         ("periods_12.csv", ["verify-periods", "--max-m", "12"]),
         ("pnt_200_dump.csv", ["verify-pnt", "--degree", "200", "--dump"]),
+        *((f"sum_{exponent}.csv", ["sum", "--lambda", str(exponent)]) for exponent in range(4)),
+        ("seq_interpolated_40.csv", ["seq", "--count", "40", "--interpolated"]),
     ],
 )
 def test_csv_output_matches_golden(capsys, name, argv):
@@ -562,6 +564,10 @@ def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
         ("sigma_300.json", ["sigma", "--max", "300", "--format", "json"]),
         ("sigma_300.txt", ["sigma", "--max", "300"]),
         ("periods_12.json", ["verify-periods", "--max-m", "12", "--format", "json"]),
+        *((f"sum_{exponent}.{ext}", ["sum", "--lambda", str(exponent), "--format", fmt])
+          for exponent in range(4) for ext, fmt in (("json", "json"), ("txt", "table"))),
+        ("seq_interpolated_40.json", ["seq", "--count", "40", "--interpolated", "--format", "json"]),
+        ("seq_interpolated_40.txt", ["seq", "--count", "40", "--interpolated"]),
     ],
 )
 def test_json_and_table_output_match_golden(capsys, name, argv):
