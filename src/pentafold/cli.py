@@ -81,11 +81,6 @@ def render(rows: list[tuple], columns: list[str], fmt: str) -> str:
     return "\n".join(map(str.rstrip, [line % tuple(columns), *map(line.__mod__, zip(*text))]))
 
 
-def _frac(value) -> str:
-    """A Fraction as numerator/denominator, or the bare numerator when whole."""
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
 def cmd_seq(args) -> tuple[list[tuple], list[str], bool]:
     if args.is_pentagonal is not None:
         hit = is_pentagonal(args.is_pentagonal)
@@ -95,9 +90,8 @@ def cmd_seq(args) -> tuple[list[tuple], list[str], bool]:
     if args.differences:
         merged = [0] + [t.value for t in term_stream(args.count)]
         return list(enumerate(differences(merged), start=1)), ["index", "difference"], True
-    if args.interpolated:
-        rows = [(j, _frac(v)) for j, v in enumerate(interpolated_sequence(args.count), start=1)]
-        return rows, ["position", "value"], True
+    if args.interpolated:  # str prints a Fraction as n/d, or n when whole
+        return list(enumerate(map(str, interpolated_sequence(args.count)), start=1)), ["position", "value"], True
     terms = term_stream(args.count, include_zero=args.include_zero)
     first = 0 if args.include_zero else 1
     rows = [(p, t.k, t.branch.value, t.value, t.sign) for p, t in enumerate(terms, start=first)]
@@ -186,7 +180,7 @@ def cmd_sum(args) -> tuple[list[tuple], list[str], bool]:
     from .summation import pentagonal_power_sum
 
     split = pentagonal_power_sum(args.exponent)
-    row = (args.exponent, _frac(split.s), _frac(split.t), _frac(split.total))
+    row = (args.exponent, str(split.s), str(split.t), str(split.total))
     return [row], ["lambda", "s", "t", "total"], split.total == 0
 
 
@@ -301,9 +295,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pentafold: {args.command}: not enough memory for this request", file=sys.stderr)
         return 2
     if args.command == "sum" and args.format == "table":
-        print("s=%s t=%s total=%s" % rows[0][1:])
+        text = "s=%s t=%s total=%s" % rows[0][1:]
     else:
-        print(render(rows, columns, args.format))
+        text = render(rows, columns, args.format)
+    try:
+        print(text, flush=True)  # a closed pipe fails here, not at interpreter shutdown
+    except BrokenPipeError:  # the shutdown flush then writes to os.devnull instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"pentafold: {args.command}: output closed before it was all written", file=sys.stderr, flush=True)
+        except OSError:  # stderr is closed too
+            os.dup2(devnull, sys.stderr.fileno())
+        return 2
     return 0 if passed else 1
 
 

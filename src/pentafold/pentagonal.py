@@ -112,7 +112,8 @@ def is_pentagonal(value: int) -> tuple[int, Branch] | None:
     None otherwise.  0 reports (0, MINUS) by convention.
 
     Uses the discriminant 24*value + 1, a perfect square (6k -+ 1)**2 exactly
-    on the pentagonal values.
+    on the pentagonal values.  A square root of it is prime to 6, since its
+    square is 1 mod 24, so it is 5 or 1 mod 6: MINUS or PLUS.
     """
     if value < 0:
         raise ValueError(f"value must be non-negative, got {value}")
@@ -124,6 +125,4 @@ def is_pentagonal(value: int) -> tuple[int, Branch] | None:
         return None
     if root % 6 == 5:
         return ((root + 1) // 6, Branch.MINUS)
-    if root % 6 == 1:
-        return ((root - 1) // 6, Branch.PLUS)
-    return None
+    return ((root - 1) // 6, Branch.PLUS)

@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .cyclotomic import root_of_unity_fixed
-from .pentagonal import Branch, pentagonal
+from .pentagonal import Branch, differences, iter_signed_values, pentagonal
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -68,12 +68,11 @@ def difference_table(seq: Sequence) -> DifferenceTable:
         raise ValueError("cannot difference an empty sequence")
     rows = [tuple(seq)]
     while any(rows[-1]):
-        current = rows[-1]
-        if len(current) < 2:
+        if len(rows[-1]) < 2:
             raise NonPolynomialSequenceError(
                 "differences did not vanish before the rows ran out; supply more terms"
             )
-        rows.append(tuple(b - a for a, b in zip(current, current[1:])))
+        rows.append(tuple(differences(rows[-1])))
     return DifferenceTable(tuple(rows))
 
 
@@ -166,12 +165,8 @@ def _largest_log_term(exponent: int, rho: float, cap: int) -> tuple[float, int]:
     min(v*, cap): the k-th pair brackets it for k = isqrt(2*min(v*, cap)/3)."""
     log_rho = math.log(rho)
     k = max(1, math.isqrt(int(2 * min(exponent / -log_rho, cap) / 3)))
-    return max(
-        (exponent * math.log(v) + v * log_rho, v)
-        for n in (k, k + 1)
-        for v in ((3 * n * n - n) // 2, (3 * n * n + n) // 2)
-        if v <= cap
-    )
+    values = (pentagonal(n, branch) for n in (k, k + 1) for branch in Branch)
+    return max((exponent * math.log(v) + v * log_rho, v) for v in values if v <= cap)
 
 
 def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> int:
@@ -224,28 +219,26 @@ def _stream_terms(exponent: int, rho: float, cap: int, bits: int) -> tuple[tuple
     truncated, up to the first D_v that truncates to 0 (every later one
     does too).  It does not depend on m, so every root order shares it.
 
-    The gaps between stream values alternate 2k - 1 (up to the k-th MINUS
-    value) and k (up to the k-th PLUS value).  The gap factors rho**(2k - 1)
-    and rho**k advance by rho**2 and rho once per index, so each term costs
-    two truncating multiplies and no float.
+    The values and signs are read from iter_signed_values, index k's MINUS
+    value and then its PLUS value.  The gaps to them are 2k - 1 and k, and
+    the gap factors rho**(2k - 1) and rho**k advance by rho**2 and rho once
+    per index, so each term costs two truncating multiplies and no float.
     """
     numerator, denominator = rho.as_integer_ratio()
     shift = denominator.bit_length() - 1
     terms = []
     to_minus = to_plus = numerator << (bits - shift)  # rho**1, exact
     numerator_sq, shift_sq = numerator * numerator, 2 * shift
-    damp, value, sign, k = 1 << bits, 0, -1, 1
+    damp, stream = 1 << bits, iter_signed_values()
     while True:
-        for gap, factor in ((2 * k - 1, to_minus), (k, to_plus)):
-            value += gap
+        for factor in (to_minus, to_plus):
+            value, sign = next(stream)
             damp = damp * factor >> bits
             if value > cap or not damp:  # past the cap, or every later factor is 0
                 return tuple(terms)
             terms.append((value, sign * value**exponent * damp))
         to_minus = to_minus * numerator_sq >> shift_sq
         to_plus = to_plus * numerator >> shift
-        sign = -sign
-        k += 1
 
 
 def _damped_classes(

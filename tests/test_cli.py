@@ -424,6 +424,22 @@ def test_out_of_memory_exits_two_with_one_line(argv):
     assert proc.stderr.splitlines() == [f"pentafold: {argv[0]}: not enough memory for this request"]
 
 
+def test_a_closed_pipe_exits_two_with_one_line():
+    # about 1.2 MB of csv, far more than a pipe holds, so the write is still
+    # under way when the reader goes
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pentafold", "sigma", "--max", "100000", "--method", "brute", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == "1,1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["pentafold: sigma: output closed before it was all written"]
+
+
 def test_corrupt_cache_is_a_usage_error(tmp_path, capsys):
     cache = tmp_path / "sigma.csv"
     cache.write_text("garbage\n", encoding="ascii")

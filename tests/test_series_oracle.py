@@ -5,10 +5,11 @@ pentafold."""
 import ast
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pentafold.cli import FORMATS, main
@@ -112,6 +113,37 @@ def test_sigma_through_a_cache_agrees_with_the_reference(oracle, capsys, monkeyp
         params = {"kind": "sigma", "max": top, "fmt": fmt}
         assert agreement(oracle, capsys, argv, params) is None, argv
     assert len(cache.read_bytes().splitlines()) == 300
+
+
+@st.composite
+def cache_sessions(draw):
+    """How the cache is named (--cache, PENTAFOLD_CACHE, or both, when the
+    variable wins), then a cold build, a warm read below the rows it holds and
+    an extension past them, each as (max, method, format)."""
+    cold = draw(st.integers(1, 200))
+    tops = (cold, draw(st.integers(1, cold)), draw(st.integers(cold + 1, 300)))
+    methods, formats = st.sampled_from(("recurrence", "brute")), st.sampled_from(FORMATS)
+    return draw(st.sampled_from(("flag", "env", "both"))), [(top, draw(methods), draw(formats)) for top in tops]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(session=cache_sessions())
+@example(session=("env", [(40, "recurrence", "json"), (40, "brute", "csv"), (300, "brute", "table")]))
+@example(session=("both", [(1, "brute", "table"), (1, "recurrence", "json"), (2, "recurrence", "csv")]))
+def test_drawn_cache_sessions_agree_with_the_reference(oracle, capsys, monkeypatch, tmp_path, session):
+    via, steps = session
+    with tempfile.TemporaryDirectory(dir=tmp_path) as folder, monkeypatch.context() as patch:
+        cache, ignored = Path(folder) / "sigma.csv", Path(folder) / "flag.csv"
+        patch.delenv("PENTAFOLD_CACHE", raising=False)
+        if via != "flag":
+            patch.setenv("PENTAFOLD_CACHE", str(cache))
+        flag = [] if via == "env" else ["--cache", str(ignored if via == "both" else cache)]
+        for top, method, fmt in steps:
+            argv = ["sigma", "--max", str(top), "--method", method, *flag]
+            params = {"kind": "sigma", "max": top, "fmt": fmt}
+            assert agreement(oracle, capsys, argv, params) is None, argv
+        assert len(cache.read_bytes().splitlines()) == steps[-1][0]
+        assert not ignored.exists()
 
 
 @st.composite

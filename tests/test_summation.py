@@ -25,7 +25,7 @@ from pentafold import (
 )
 from pentafold import summation
 from pentafold.cyclotomic import root_of_unity_fixed
-from pentafold.pentagonal import signed_values
+from pentafold.pentagonal import differences, signed_values
 from pentafold.summation import MARGIN_BITS, FloatRangeError, damped_class_sums, fixed_point_bits
 
 MINUS_ROW = [1, 5, 12, 22, 35, 51, 70]
@@ -449,6 +449,73 @@ def test_shared_walk_class_sums_equal_the_fused_pass(exponent, m, rho, tolerance
     cap = required_exponent_cap(exponent, 0.999 if pinned else rho, tolerance)
     bits = fixed_point_bits(exponent, rho, cap, tolerance)
     assert damped_class_sums(exponent, m, rho, cap, bits) == fused_class_pass(exponent, m, rho, cap, bits)
+
+
+def gap_walk_terms(exponent, rho, cap, bits):
+    """Oracle: the damped stream as _stream_terms walked it when it stepped
+    the values by their gaps and flipped the sign itself, not reading them
+    from iter_signed_values."""
+    numerator, denominator = rho.as_integer_ratio()
+    shift = denominator.bit_length() - 1
+    terms = []
+    to_minus = to_plus = numerator << (bits - shift)  # rho**1, exact
+    numerator_sq, shift_sq = numerator * numerator, 2 * shift
+    damp, value, sign, k = 1 << bits, 0, -1, 1
+    while True:
+        for gap, factor in ((2 * k - 1, to_minus), (k, to_plus)):
+            value += gap
+            damp = damp * factor >> bits
+            if value > cap or not damp:  # past the cap, or every later factor is 0
+                return tuple(terms)
+            terms.append((value, sign * value**exponent * damp))
+        to_minus = to_minus * numerator_sq >> shift_sq
+        to_plus = to_plus * numerator >> shift
+        sign = -sign
+        k += 1
+
+
+def outcome(walk, *args):
+    """A walk's terms, or the type of the error it raised: a rho whose
+    binary exponent needs more than `bits` fraction bits makes both walks
+    refuse with a negative shift count."""
+    try:
+        return walk(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponent=st.integers(min_value=0, max_value=6),
+    rho=st.one_of(
+        st.sampled_from([0.3, 0.5, 0.9, 0.99, 0.999]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ),
+    cap=st.integers(min_value=1, max_value=10**4),
+    bits=st.integers(min_value=40, max_value=400),
+)
+@example(exponent=4, rho=0.999, cap=5000, bits=300)
+@example(exponent=0, rho=0.3, cap=1, bits=60)
+def test_stream_walk_equals_the_gap_walk(exponent, rho, cap, bits):
+    args = (exponent, rho, cap, bits)
+    assert outcome(summation._stream_terms.__wrapped__, *args) == outcome(gap_walk_terms, *args)
+
+
+@given(
+    coeffs=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7),
+    extra=st.integers(min_value=0, max_value=6),
+)
+def test_difference_table_rows_are_repeated_differences(coeffs, extra):
+    # coeffs[d] multiplies n**d; a sequence of a degree-D polynomial needs
+    # D + 2 terms for its rows to vanish
+    degree = max((d for d, c in enumerate(coeffs) if c), default=-1)
+    seq = [sum(c * n**d for d, c in enumerate(coeffs)) for n in range(max(degree + 2, 1) + extra)]
+    rows = [seq]
+    while any(rows[-1]):
+        rows.append(differences(rows[-1]))
+    table = difference_table(seq)
+    assert table.rows == tuple(map(tuple, rows))
+    assert table.depth == degree + 1
 
 
 def test_abel_cost_does_not_grow_with_the_root_order():
