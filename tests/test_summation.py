@@ -509,7 +509,7 @@ def test_difference_table_rows_are_repeated_differences(coeffs, extra):
     # coeffs[d] multiplies n**d; a sequence of a degree-D polynomial needs
     # D + 2 terms for its rows to vanish
     degree = max((d for d, c in enumerate(coeffs) if c), default=-1)
-    seq = [sum(c * n**d for d, c in enumerate(coeffs)) for n in range(max(degree + 2, 1) + extra)]
+    seq = [sum(c * n**d for d, c in enumerate(coeffs)) for n in range(degree + 2 + extra)]
     rows = [seq]
     while any(rows[-1]):
         rows.append(differences(rows[-1]))
