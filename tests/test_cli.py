@@ -280,6 +280,7 @@ def test_verify_pnt_dump_lists_nonzero_coefficients(capsys):
         ("pnt_200_dump.csv", ["verify-pnt", "--degree", "200", "--dump"]),
         *((f"sum_{exponent}.csv", ["sum", "--lambda", str(exponent)]) for exponent in range(4)),
         ("seq_interpolated_40.csv", ["seq", "--count", "40", "--interpolated"]),
+        ("report.csv", ["report"]),
     ],
 )
 def test_csv_output_matches_golden(capsys, name, argv):
@@ -584,6 +585,8 @@ def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
           for exponent in range(4) for ext, fmt in (("json", "json"), ("txt", "table"))),
         ("seq_interpolated_40.json", ["seq", "--count", "40", "--interpolated", "--format", "json"]),
         ("seq_interpolated_40.txt", ["seq", "--count", "40", "--interpolated"]),
+        ("report.json", ["report", "--format", "json"]),
+        ("report.txt", ["report"]),
     ],
 )
 def test_json_and_table_output_match_golden(capsys, name, argv):
