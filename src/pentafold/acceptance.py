@@ -15,7 +15,7 @@ from .cyclotomic import (
 )
 from .pentagonal import Branch, pentagonal
 from .qseries import elementary_symmetric, euler_product, pentagonal_series, power_sums
-from .sigma import recurrence_terms, sigma_brute, sigma_recurrence, sigma_table
+from .sigma import first_wrong_sigma, recurrence_terms, sigma_brute, sigma_recurrence, sigma_table
 from .summation import (
     abel_evaluate,
     difference_table,
@@ -85,16 +85,15 @@ def check_recurrence_worked_examples() -> CriterionResult:
 
 
 def check_oracle_equivalence() -> CriterionResult:
-    """Criterion 3: recurrence equals trial division for every n <= 10^4, < 30 s."""
+    """Criterion 3: the recurrence passes first_wrong_sigma, the divisor-sum
+    certificate, for every n <= 10^4, < 30 s."""
     limit = 10**4
     start = time.perf_counter()
     table = sigma_table(limit, "recurrence")
-    mismatches = [n for n in range(1, limit + 1) if table[n] != sigma_brute(n)]
+    bad = first_wrong_sigma(table.values, limit)
     elapsed = time.perf_counter() - start
-    ok = not mismatches and elapsed < 30.0
-    detail = f"recurrence == brute for all n <= {limit}" if not mismatches else (
-        f"mismatch at n = {mismatches[:5]}"
-    )
+    ok = bad is None and elapsed < 30.0
+    detail = f"recurrence == brute for all n <= {limit}" if bad is None else f"first mismatch at n = {bad}"
     return CriterionResult(3, "oracle-equivalence", ok, detail, elapsed)
 
 
@@ -118,10 +117,11 @@ def check_symmetric_functions() -> CriterionResult:
     series = euler_product(limit)
     e = elementary_symmetric(series, 5)
     p = power_sums(series, limit)
-    mismatches = [k for k in range(1, limit + 1) if p[k - 1] != sigma_brute(k)]
+    bad = first_wrong_sigma([0, *p], limit)
     elapsed = time.perf_counter() - start
-    ok = e == [1, -1, 0, 0, -1] and p[:4] == [1, 3, 4, 7] and not mismatches
-    detail = f"e1..e5 = {e}; p1..p4 = {p[:4]}; p_k == sigma(k) for k <= {limit}"
+    ok = e == [1, -1, 0, 0, -1] and p[:4] == [1, 3, 4, 7] and bad is None
+    tail = f"p_k == sigma(k) for k <= {limit}" if bad is None else f"p_k != sigma(k) first at k = {bad}"
+    detail = f"e1..e5 = {e}; p1..p4 = {p[:4]}; {tail}"
     return CriterionResult(5, "symmetric-function-values", ok, detail, elapsed)
 
 

@@ -114,15 +114,15 @@ def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
 
 
 def first_wrong_sigma(values: list[int], upto: int) -> int | None:
-    """The least n in 1..upto with values[n] != sigma(n), or None.  Rows
-    1..upto (not the sentinel values[0]) are compared with the divisor sieve in
-    one C-level list comparison; only a table that differs is scanned."""
+    """The least n in 1..upto with values[n] missing or != sigma(n), or None.
+    Rows 1..upto (not the sentinel values[0]) are compared with the divisor
+    sieve in one C-level list comparison; only a table that differs is scanned."""
     if upto < 1:
         return None
     expected = _divisor_sieve(upto)
     if values[1 : upto + 1] == expected[1:]:
         return None
-    return next(n for n in range(1, upto + 1) if values[n] != expected[n])
+    return next(n for n in range(1, upto + 1) if n >= len(values) or values[n] != expected[n])
 
 
 def save_table(table: SigmaTable, path: str | Path) -> None:

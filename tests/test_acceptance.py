@@ -6,15 +6,19 @@ or `pentafold report` for the same checks behind the CLI.
 
 from fractions import Fraction
 
+import pytest
+
 from pentafold import acceptance, summation
 from pentafold import (
     euler_sum_alternating,
     pentagonal_power_sum,
+    power_sums,
     recurrence_terms,
     sigma_table,
     period_profile,
     verify_basis_cancellation,
 )
+from pentafold.cli import main
 
 
 def _run(check):
@@ -83,6 +87,53 @@ def test_criterion_10_abel_decay():
 
 def test_criterion_11_mutation_sensitivity():
     _run(acceptance.check_mutation_sensitivity)
+
+
+def planted(values: list, n: int, keep: bool) -> list:
+    """values with entry n raised by one, or cut off from entry n on."""
+    if not keep:
+        return values[:n]
+    values[n] += 1
+    return values
+
+
+def report_row(capsys, number: int) -> tuple[int, list[str]]:
+    """pentafold report's exit code and its csv row for one criterion."""
+    code = main(["report", "--format", "csv"])
+    rows = [line.split(",", 3) for line in capsys.readouterr().out.splitlines()]
+    return code, rows[number - 1]
+
+
+@pytest.mark.parametrize(
+    "n, keep", [(1, True), (2, True), (12, True), (9801, True), (9973, True), (10000, True), (9001, False)]
+)
+def test_criterion_03_names_a_planted_recurrence_row(monkeypatch, capsys, n, keep):
+    # keep=False: a recurrence that returns too few rows, the first missing one at n
+    def recurrence_with_fault(max_n, method="recurrence"):
+        table = sigma_table(max_n, method)
+        if method == "recurrence":
+            table.values = planted(table.values, n, keep)
+        return table
+
+    monkeypatch.setattr(acceptance, "sigma_table", recurrence_with_fault)
+    result = acceptance.check_oracle_equivalence()
+    assert not result.passed
+    assert result.detail == f"first mismatch at n = {n}"
+    code, row = report_row(capsys, 3)
+    assert code == 1
+    assert row == ["3", "oracle-equivalence", "FAIL", result.detail]
+
+
+@pytest.mark.parametrize("k, keep", [(1, True), (5, True), (200, True), (151, False)])
+def test_criterion_05_names_a_planted_power_sum(monkeypatch, capsys, k, keep):
+    # the power sums are p_1, p_2, ...: entry k - 1 holds p_k
+    monkeypatch.setattr(acceptance, "power_sums", lambda *args: planted(power_sums(*args), k - 1, keep))
+    result = acceptance.check_symmetric_functions()
+    assert not result.passed
+    assert result.detail.endswith(f"; p_k != sigma(k) first at k = {k}")
+    code, row = report_row(capsys, 5)
+    assert code == 1
+    assert row == ["5", "symmetric-function-values", "FAIL", result.detail]
 
 
 def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):

@@ -4,6 +4,7 @@ pentafold."""
 
 import ast
 import importlib.util
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pentafold.cli import FORMATS, main
+from pentafold import acceptance, sigma_table
+from pentafold.cli import FORMATS, HANDLERS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = ROOT / "perfbench" / "oracles.py"
@@ -179,3 +181,85 @@ def short_commands(draw, edge_requests):
 def test_drawn_short_commands_agree_with_the_reference(oracle, edge_requests, capsys, data):
     argv, params = data.draw(short_commands(edge_requests))
     assert agreement(oracle, capsys, argv, params) is None, argv
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_report_agrees_with_the_reference(oracle, capsys, fmt):
+    assert agreement(oracle, capsys, ["report"], {"kind": "report", "fmt": fmt}) is None
+
+
+def test_the_reference_flags_a_report_row_that_fails(oracle, capsys, monkeypatch):
+    def recurrence_with_fault(max_n, method="recurrence"):
+        table = sigma_table(max_n, method)
+        if method == "recurrence":
+            table.values[9973] += 1
+        return table
+
+    monkeypatch.setattr(acceptance, "sigma_table", recurrence_with_fault)
+    disagreement = agreement(oracle, capsys, ["report"], {"kind": "report", "fmt": "csv"})
+    assert disagreement is not None and disagreement.wrong_result
+    assert "'3'" in disagreement.reason
+
+
+# (command, flag, least value accepted) for every integer flag
+INTEGER_FLAGS = [
+    ("seq", "--count", 1), ("sigma", "--max", 1), ("verify-pnt", "--degree", 0),
+    ("verify-periods", "--max-m", 1), ("verify-periods", "--periods", 1), ("verify-powersums", "--count", 1),
+    ("sum", "--lambda", 0), ("abel", "--lambda", 0), ("abel", "--m", 1), ("abel", "--i", 0), ("abel", "--r", 0),
+]
+RADIUS_FLAGS = ["--rho", "--baseline"]
+REQUIRED = {"sigma": ["--max", "7"], "sum": ["--lambda", "1"], "abel": ["--m", "3"]}
+EXCLUSIVE = {
+    "seq": [["--differences"], ["--interpolated"], ["--is-pentagonal", "5"]],
+    "abel": [["--i", "1"], ["--r", "0"]],
+}
+USAGE_LINE = re.compile(r"pentafold[a-z -]*: error: \S.*")
+
+
+def with_required(command: str, flag: str, value: str) -> list[str]:
+    """argv for one command with `flag` set to `value`, every other required flag given."""
+    others = REQUIRED.get(command, [])
+    return [command, *([] if flag in others else others), f"{flag}={value}"]
+
+
+@st.composite
+def usage_errors(draw):
+    """argv for one request that argparse or main must refuse: an unknown
+    command, a missing required flag, a value that is not a number, a number
+    out of range, --r >= m, mutually exclusive flags, or a bad --format."""
+    kind = draw(st.sampled_from(("command", "missing", "not-a-number", "range", "residue", "exclusive", "format")))
+    if kind == "command":
+        return [draw(st.from_regex(r"[a-z][a-z-]{0,15}", fullmatch=True).filter(lambda c: c not in HANDLERS))]
+    if kind == "missing":
+        return [draw(st.sampled_from(sorted(REQUIRED)))]
+    if kind == "not-a-number":
+        command, flag, _ = draw(st.sampled_from(INTEGER_FLAGS + [("abel", flag, None) for flag in RADIUS_FLAGS]))
+        return with_required(command, flag, draw(st.from_regex(r"[a-z.]{1,8}", fullmatch=True)))
+    if kind == "range":
+        if draw(st.booleans()):
+            command, flag, least = draw(st.sampled_from(INTEGER_FLAGS))
+            return with_required(command, flag, str(draw(st.integers(-(10**6), least - 1))))
+        radius = draw(st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0)))
+        return with_required("abel", draw(st.sampled_from(RADIUS_FLAGS)), repr(radius))
+    if kind == "residue":
+        m = draw(st.integers(1, 50))
+        return ["abel", "--m", str(m), "--r", str(draw(st.integers(m, m + 50)))]
+    if kind == "exclusive":
+        command = draw(st.sampled_from(sorted(EXCLUSIVE)))
+        first, second = draw(st.permutations(EXCLUSIVE[command]))[:2]
+        return [command, *REQUIRED.get(command, []), *first, *second]
+    command = draw(st.sampled_from(sorted(HANDLERS)))
+    fmt = draw(st.from_regex(r"[a-z]{0,8}", fullmatch=True).filter(lambda f: f not in FORMATS))
+    return [command, *REQUIRED.get(command, []), "--format", fmt]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=usage_errors())
+def test_drawn_usage_errors_exit_two_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2, argv
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert USAGE_LINE.fullmatch(captured.err.splitlines()[-1]), (argv, captured.err)

@@ -150,6 +150,14 @@ def test_certificate_of_no_rows_passes():
     assert first_wrong_sigma([0], 0) is None
 
 
+def test_certificate_names_the_first_missing_row():
+    assert first_wrong_sigma([0, 1, 3], 5) == 3
+    assert first_wrong_sigma([0, 1, 4], 5) == 2  # a wrong row before the missing ones
+    assert first_wrong_sigma([0], 1) == 1
+    assert first_wrong_sigma([], 3) == 1
+    assert first_wrong_sigma([0, 1, 3], 2) is None
+
+
 def smallest_prime_factors(limit):
     """spf[n] = the smallest prime dividing n, for 2 <= n <= limit."""
     spf = list(range(limit + 1))
