@@ -89,9 +89,9 @@ def test_criterion_11_mutation_sensitivity():
     _run(acceptance.check_mutation_sensitivity)
 
 
-def planted(values: list, n: int, keep: bool) -> list:
-    """values with entry n raised by one, or cut off from entry n on."""
-    if not keep:
+def planted(values: list, n: int, cut: bool) -> list:
+    """values with entry n raised by one, or, if cut, cut off from entry n on."""
+    if cut:
         return values[:n]
     values[n] += 1
     return values
@@ -105,14 +105,14 @@ def report_row(capsys, number: int) -> tuple[int, list[str]]:
 
 
 @pytest.mark.parametrize(
-    "n, keep", [(1, True), (2, True), (12, True), (9801, True), (9973, True), (10000, True), (9001, False)]
+    "n, cut", [(1, False), (2, False), (12, False), (9801, False), (9973, False), (10000, False), (9001, True)]
 )
-def test_criterion_03_names_a_planted_recurrence_row(monkeypatch, capsys, n, keep):
-    # keep=False: a recurrence that returns too few rows, the first missing one at n
+def test_criterion_03_names_a_planted_recurrence_row(monkeypatch, capsys, n, cut):
+    # cut: a recurrence that returns too few rows, the first missing one at n
     def recurrence_with_fault(max_n, method="recurrence"):
         table = sigma_table(max_n, method)
         if method == "recurrence":
-            table.values = planted(table.values, n, keep)
+            table.values = planted(table.values, n, cut)
         return table
 
     monkeypatch.setattr(acceptance, "sigma_table", recurrence_with_fault)
@@ -124,10 +124,10 @@ def test_criterion_03_names_a_planted_recurrence_row(monkeypatch, capsys, n, kee
     assert row == ["3", "oracle-equivalence", "FAIL", result.detail]
 
 
-@pytest.mark.parametrize("k, keep", [(1, True), (5, True), (200, True), (151, False)])
-def test_criterion_05_names_a_planted_power_sum(monkeypatch, capsys, k, keep):
+@pytest.mark.parametrize("k, cut", [(1, False), (5, False), (200, False), (151, True)])
+def test_criterion_05_names_a_planted_power_sum(monkeypatch, capsys, k, cut):
     # the power sums are p_1, p_2, ...: entry k - 1 holds p_k
-    monkeypatch.setattr(acceptance, "power_sums", lambda *args: planted(power_sums(*args), k - 1, keep))
+    monkeypatch.setattr(acceptance, "power_sums", lambda *args: planted(power_sums(*args), k - 1, cut))
     result = acceptance.check_symmetric_functions()
     assert not result.passed
     assert result.detail.endswith(f"; p_k != sigma(k) first at k = {k}")
