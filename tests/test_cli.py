@@ -18,6 +18,14 @@ from pentafold.cli import HANDLERS, build_parser, main, render
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# abel at a root, on a residue class, on a pair whose verdict is FAIL, and on a
+# class no stream value reaches (both values 0, so FAIL too)
+ABEL_GOLDENS = {
+    "root": ["--lambda", "2", "--m", "3", "--i", "1", "--rho", "0.999"],
+    "residue": ["--lambda", "1", "--m", "2", "--r", "0", "--rho", "0.99"],
+    "fail": ["--lambda", "3", "--m", "1", "--rho", "0.999", "--baseline", "0.99"],
+    "empty_class": ["--lambda", "1", "--m", "5", "--r", "3"],
+}
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -281,12 +289,14 @@ def test_verify_pnt_dump_lists_nonzero_coefficients(capsys):
         *((f"sum_{exponent}.csv", ["sum", "--lambda", str(exponent)]) for exponent in range(4)),
         ("seq_interpolated_40.csv", ["seq", "--count", "40", "--interpolated"]),
         ("report.csv", ["report"]),
+        *((f"abel_{point}.csv", ["abel", *flags]) for point, flags in ABEL_GOLDENS.items()),
     ],
 )
 def test_csv_output_matches_golden(capsys, name, argv):
     code, out = run_cli(capsys, *argv, "--format", "csv")
-    assert out == (GOLDEN / name).read_text(encoding="ascii")
-    assert code == 0
+    golden = (GOLDEN / name).read_text(encoding="ascii")
+    assert out == golden
+    assert code == (1 if "FAIL" in golden else 0)  # exit 1 exactly when a pinned verdict reads FAIL
 
 
 def test_abel_beyond_float_range_is_a_usage_error(capsys):
@@ -587,9 +597,14 @@ def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
         ("seq_interpolated_40.txt", ["seq", "--count", "40", "--interpolated"]),
         ("report.json", ["report", "--format", "json"]),
         ("report.txt", ["report"]),
+        ("powersums_80.json", ["verify-powersums", "--count", "80", "--format", "json"]),
+        ("powersums_80.txt", ["verify-powersums", "--count", "80"]),
+        *((f"abel_{point}.{ext}", ["abel", *flags, "--format", fmt])
+          for point, flags in ABEL_GOLDENS.items() for ext, fmt in (("json", "json"), ("txt", "table"))),
     ],
 )
 def test_json_and_table_output_match_golden(capsys, name, argv):
     code, out = run_cli(capsys, *argv)
-    assert out == (GOLDEN / name).read_text(encoding="ascii")
-    assert code == 0
+    golden = (GOLDEN / name).read_text(encoding="ascii")
+    assert out == golden
+    assert code == (1 if "FAIL" in golden else 0)
