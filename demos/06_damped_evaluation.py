@@ -7,7 +7,7 @@ each damped ray rho * root as rho -> 1.  A root-of-unity filter isolates one
 residue class at a time; those filtered series sink as well.
 """
 
-from pentafold import abel_evaluate, required_exponent_cap, residue_class_abel
+from pentafold import abel_decay, abel_evaluate, required_exponent_cap, residue_class_abel
 
 print("Real ray, exponent 0: the damped series equals the damped product.")
 for rho in (0.3, 0.6, 0.9):
@@ -22,9 +22,7 @@ print()
 print("Deeper damping pulls |value| toward 0 (matching truncation caps):")
 print(f"  {'exponent':>8} {'m':>3} {'i':>3} {'|at rho=0.9|':>14} {'|at rho=0.999|':>15}")
 for exponent, m, i in [(0, 1, 0), (1, 2, 1), (2, 3, 1), (3, 4, 3)]:
-    cap = required_exponent_cap(exponent, 0.999, 1e-9)
-    far = abs(abel_evaluate(exponent, m, i, 0.9, exponent_cap=cap))
-    near = abs(abel_evaluate(exponent, m, i, 0.999, exponent_cap=cap))
+    near, far, _ = abel_decay(exponent, m, 0.999, 0.9, i=i)
     print(f"  {exponent:>8} {m:>3} {i:>3} {far:>14.3e} {near:>15.3e}")
 print()
 

@@ -57,6 +57,7 @@ _LAZY = {
         "NonPolynomialSequenceError",
         "PowerSumSplit",
         "TruncationInfeasibleError",
+        "abel_decay",
         "abel_evaluate",
         "difference_table",
         "euler_sum_alternating",

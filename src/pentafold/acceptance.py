@@ -16,14 +16,7 @@ from .cyclotomic import (
 from .pentagonal import Branch, pentagonal
 from .qseries import elementary_symmetric, euler_product, pentagonal_series, power_sums
 from .sigma import first_wrong_sigma, recurrence_terms, sigma_brute, sigma_recurrence, sigma_table
-from .summation import (
-    abel_evaluate,
-    difference_table,
-    euler_sum_alternating,
-    pentagonal_power_sum,
-    required_exponent_cap,
-    residue_class_abel,
-)
+from .summation import difference_table, euler_sum_alternating, pentagonal_power_sum, residue_class_abel
 
 SIGMA_FIRST_ELEVEN = [1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12]
 
@@ -208,18 +201,15 @@ def check_power_sum_identity() -> CriterionResult:
 
 
 def check_abel_decay() -> CriterionResult:
-    """Criterion 10: damping toward 1 shrinks |value| for every root (matching
-    caps), and the residue filters sit below 1e-2 at rho = 0.999; < 60 s."""
+    """Criterion 10: abel_decay finds |value| shrinking toward every root, and
+    the residue filters sit below 1e-2 at rho = 0.999; < 60 s."""
+    from .summation import abel_decay  # read at call time, as cmd_abel reads it: one rule for both
+
     start = time.perf_counter()
-    decay_failures = []
-    for exponent in range(4):
-        for m in range(1, 7):
-            cap = required_exponent_cap(exponent, 0.999, 1e-9)
-            for i in range(m):
-                near = abs(abel_evaluate(exponent, m, i, 0.999, 1e-9, exponent_cap=cap))
-                far = abs(abel_evaluate(exponent, m, i, 0.9, 1e-9, exponent_cap=cap))
-                if not near < far:
-                    decay_failures.append((exponent, m, i))
+    decay_failures = [
+        (exponent, m, i) for exponent in range(4) for m in range(1, 7) for i in range(m)
+        if not abel_decay(exponent, m, 0.999, 0.9, 1e-9, i=i)[2]
+    ]
     filter_failures = []
     for exponent in range(4):
         for m in range(1, 5):

@@ -161,19 +161,17 @@ def cmd_verify_periods(args) -> tuple[list[tuple], list[str], bool]:
 
 def cmd_verify_powersums(args) -> tuple[list[tuple], list[str], bool]:
     from .qseries import elementary_symmetric, euler_product, power_sums
-    from .sigma import sigma_brute
+    from .sigma import sigma_table
 
     series = euler_product(args.count)
     e = elementary_symmetric(series, args.count)
     p = power_sums(series, args.count)
-    rows = []
-    all_ok = True
-    for k in range(1, args.count + 1):
-        expected = sigma_brute(k)
-        ok = p[k - 1] == expected
-        all_ok &= ok
-        rows.append((k, e[k - 1], p[k - 1], expected, "PASS" if ok else "FAIL"))
-    return rows, ["k", "elementary", "power_sum", "divisor_sum", "verdict"], all_ok
+    sigma = sigma_table(args.count, "brute").values
+    rows = [
+        (k, e[k - 1], p[k - 1], sigma[k], "PASS" if p[k - 1] == sigma[k] else "FAIL")
+        for k in range(1, args.count + 1)
+    ]
+    return rows, ["k", "elementary", "power_sum", "divisor_sum", "verdict"], p == sigma[1:]
 
 
 def cmd_sum(args) -> tuple[list[tuple], list[str], bool]:
@@ -185,18 +183,12 @@ def cmd_sum(args) -> tuple[list[tuple], list[str], bool]:
 
 
 def cmd_abel(args) -> tuple[list[tuple], list[str], bool]:
-    from .summation import abel_evaluate, required_exponent_cap, residue_class_abel
+    from .summation import abel_decay
 
-    if args.residue is not None:
-        point = f"r{args.residue}"
-        near = abs(residue_class_abel(args.exponent, args.m, args.residue, args.rho, args.tolerance))
-        far = abs(residue_class_abel(args.exponent, args.m, args.residue, args.baseline, args.tolerance))
-    else:
-        point = f"i{args.i}"
-        cap = required_exponent_cap(args.exponent, max(args.rho, args.baseline), args.tolerance)
-        near = abs(abel_evaluate(args.exponent, args.m, args.i, args.rho, args.tolerance, exponent_cap=cap))
-        far = abs(abel_evaluate(args.exponent, args.m, args.i, args.baseline, args.tolerance, exponent_cap=cap))
-    ok = near < far
+    near, far, ok = abel_decay(
+        args.exponent, args.m, args.rho, args.baseline, args.tolerance, i=args.i, residue=args.residue
+    )
+    point = f"i{args.i}" if args.residue is None else f"r{args.residue}"
     row = (args.exponent, args.m, point, args.rho, f"{near:.6e}", "PASS" if ok else "FAIL", f"{far:.6e}")
     return [row], ["lambda", "m", "point", "rho", "abs_value", "verdict", "baseline_abs"], ok
 

@@ -142,6 +142,12 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     bound = tolerance / 10.0
     if not bound > 0.0:  # the doubling search below would never reach it
         raise ValueError(f"tolerance {tolerance} is too small: its tenth underflows to 0")
+    return _least_cap(exponent, rho, bound)
+
+
+@lru_cache(maxsize=64)  # criterion 10 asks 208 times for 4 distinct caps
+def _least_cap(exponent: int, rho: float, bound: float) -> int:
+    """The search behind required_exponent_cap, for a bound already checked."""
     log_rho = math.log(rho)
 
     def clears(cap: int) -> bool:
@@ -193,23 +199,20 @@ def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> i
 
 @lru_cache(maxsize=64)  # criterion 10 alone asks 208 times for 48 distinct inputs
 def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) -> Mapping[int, int]:
-    """Exact integer class sums of the damped stream, read-only: the pass is a
-    pure function of its arguments, so each distinct input runs it once and
-    later calls, such as every root index of one evaluation point, share its
-    result (the most recent 64 inputs are kept)."""
-    return MappingProxyType(_class_pass(exponent, m, rho, cap, bits))
+    """Exact integer class sums of the damped stream: entry r is the sum of
+    the terms of _stream_terms whose value v is r (mod m); the constant term
+    adds 2**bits at r = 0 when exponent is 0.  A class no term reaches has no
+    entry, so the cost follows the cap, not m.
 
-
-def _class_pass(exponent: int, m: int, rho: float, cap: int, bits: int) -> dict[int, int]:
-    """The class sums of the damped stream: entry r is the sum of the terms
-    of _stream_terms whose value v is r (mod m); the constant term adds
-    2**bits at r = 0 when exponent is 0.  A class no term reaches has no
-    entry, so the cost follows the cap, not m."""
+    The result is read-only: the pass is a pure function of its arguments, so
+    each distinct input runs it once and later calls, such as every root
+    index of one evaluation point, share its result (the most recent 64
+    inputs are kept)."""
     sums = {0: 1 << bits} if exponent == 0 else {}
     for value, term in _stream_terms(exponent, rho, cap, bits):
         r = value % m
         sums[r] = sums.get(r, 0) + term
-    return sums
+    return MappingProxyType(sums)
 
 
 @lru_cache(maxsize=16)  # criterion 10 walks 8 distinct streams for 6 root orders each
@@ -242,19 +245,18 @@ def _stream_terms(exponent: int, rho: float, cap: int, bits: int) -> tuple[tuple
 
 
 def _damped_classes(
-    exponent: int, m: int, rho: float, tolerance: float, exponent_cap: int | None
+    exponent: int, m: int, rho: float, tolerance: float, cap_radius: float
 ) -> tuple[int, Mapping[int, int]]:
-    """Validate, truncate, refuse a term beyond float range before any exact
-    work, then return the fixed-point bits and the class sums."""
+    """Validate, truncate at the cap of the caller's cap_radius (rho itself,
+    or the larger radius of an abel_decay pair), refuse a term beyond float
+    range before any exact work, then return the fixed-point bits and the
+    class sums."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     _check_tolerance(tolerance)
-    if exponent_cap is not None:
-        cap = exponent_cap
-    else:
-        cap = required_exponent_cap(exponent, rho, tolerance)
+    cap = required_exponent_cap(exponent, cap_radius, tolerance)
     if exponent and cap >= 1:
         log_term, value = _largest_log_term(exponent, rho, cap)
         if log_term > FLOAT_LOG_MAX:
@@ -274,32 +276,29 @@ def _to_complex(re: int, im: int, bits: int, rho: float) -> complex:
         raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range") from None
 
 
-def abel_evaluate(
-    exponent: int,
-    m: int,
-    i: int,
-    rho: float,
-    tolerance: float = 1e-9,
-    exponent_cap: int | None = None,
-) -> complex:
+def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 1e-9) -> complex:
     """Damped numeric value of the stream series of value**exponent at the
     point rho times the i-th m-th root of unity alpha**i: the sum over the
     classes r of C_r * 2**-P * alpha**(i*r), from damped_class_sums.
 
-    Truncation stops at the smallest cap clearing the tail bound, or at
-    exponent_cap when the caller pins one (e.g. to compare different rho on
-    equal footing).  The classes are folded exactly by i*r mod m, and each
-    folded sum is multiplied by its root in fixed point, with enough bits that
-    the roots move the value by at most tolerance/10.  So the result is within
-    tolerance/10 (the fixed point) + tolerance/10 (the roots) of the damped sum
-    up to the cap, and within tolerance/10 more (the tail) of the whole damped
-    series, besides rounding each part once to a float.  Both fixed-point
-    bounds keep MARGIN_BITS to spare.  Cost: one pass over
-    the stream up to the cap and one root per folded class, at most min(m,
-    terms), so it does not grow with m.  A term or total beyond float range
-    raises FloatRangeError, the first before any exact work.
+    Truncation stops at the smallest cap clearing the tail bound at rho.  The
+    classes are folded exactly by i*r mod m, and each folded sum is multiplied
+    by its root in fixed point, with enough bits that the roots move the value
+    by at most tolerance/10.  So the result is within tolerance/10 (the fixed
+    point) + tolerance/10 (the roots) of the damped sum up to the cap, and
+    within tolerance/10 more (the tail) of the whole damped series, besides
+    rounding each part once to a float.  Both fixed-point bounds keep
+    MARGIN_BITS to spare.  Cost: one pass over the stream up to the cap and
+    one root per folded class, at most min(m, terms), so it does not grow
+    with m.  A term or total beyond float range raises FloatRangeError, the
+    first before any exact work.
     """
-    bits, sums = _damped_classes(exponent, m, rho, tolerance, exponent_cap)
+    return _root_value(exponent, m, i, rho, tolerance, rho)
+
+
+def _root_value(exponent: int, m: int, i: int, rho: float, tolerance: float, cap_radius: float) -> complex:
+    """abel_evaluate truncated at the cap of cap_radius."""
+    bits, sums = _damped_classes(exponent, m, rho, tolerance, cap_radius)
     folded: dict[int, int] = {}
     for r, total in sums.items():
         j = r * i % m
@@ -318,18 +317,33 @@ def abel_evaluate(
     return _to_complex(re, im, bits + extra, rho)
 
 
-def residue_class_abel(
-    exponent: int,
-    m: int,
-    residue: int,
-    rho: float,
-    tolerance: float = 1e-9,
-) -> complex:
+def residue_class_abel(exponent: int, m: int, residue: int, rho: float, tolerance: float = 1e-9) -> complex:
     """Damped value of the stream terms whose exponent is congruent to residue
     mod m: the class sum C_residue of damped_class_sums, read directly, within
     the bounds abel_evaluate states (no roots involved).  Expected to sink
     toward 0 as rho -> 1."""
     if not 0 <= residue < m:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {residue}")
-    bits, sums = _damped_classes(exponent, m, rho, tolerance, None)
+    bits, sums = _damped_classes(exponent, m, rho, tolerance, rho)
     return _to_complex(sums.get(residue, 0), 0, bits, rho)
+
+
+def abel_decay(
+    exponent: int, m: int, rho: float, baseline: float, tolerance: float = 1e-9,
+    *, i: int = 0, residue: int | None = None,
+) -> tuple[float, float, bool]:
+    """(near, far, decays): |value| at rho, |value| at the baseline radius,
+    and whether damping toward rho shrank it, near < far.  The point is the
+    i-th m-th root of unity, or the class residue mod m when residue is given.
+
+    At a root both values are truncated at the cap of the larger radius,
+    which clears the tail bound at both, so the pair sums the same terms.  A
+    residue class value keeps the cap of its own radius, as residue_class_abel
+    gives it.  Errors are those of the two evaluations, near first.
+    """
+    radii = (rho, baseline)
+    if residue is not None:
+        near, far = (abs(residue_class_abel(exponent, m, residue, r, tolerance)) for r in radii)
+    else:
+        near, far = (abs(_root_value(exponent, m, i, r, tolerance, max(radii))) for r in radii)
+    return near, far, near < far

@@ -136,25 +136,31 @@ def test_criterion_05_names_a_planted_power_sum(monkeypatch, capsys, k, cut):
     assert row == ["5", "symmetric-function-values", "FAIL", result.detail]
 
 
-def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):
+def test_report_runs_one_class_pass_per_distinct_input():
     # criterion 10 evaluates 48 distinct (exponent, m, rho, cap) points, each
     # at every root index, and its residue filters revisit the rho = 0.999 ones
-    passes = []
-    exact_pass = summation._class_pass
-
-    def counted(*args):
-        passes.append(args)
-        return exact_pass(*args)
-
-    monkeypatch.setattr(summation, "_class_pass", counted)
     summation.damped_class_sums.cache_clear()
     try:
         results = acceptance.run_all()
+        passes = summation.damped_class_sums.cache_info()
     finally:
         summation.damped_class_sums.cache_clear()
     assert results[9].number == 10 and results[9].passed
-    assert 0 < len(passes) <= 48
-    assert len(set(passes)) == len(passes)
+    assert 0 < passes.misses <= 48
+    assert passes.misses == passes.currsize  # none evicted, so no input ran twice
+
+
+def test_a_planted_decay_verdict_reaches_abel_and_criterion_10(monkeypatch, capsys):
+    # abel and criterion 10 both take their verdict from summation.abel_decay
+    monkeypatch.setattr(summation, "abel_decay", lambda *args, **kwargs: (1.0, 0.5, False))
+    assert main(["abel", "--m", "2", "--i", "1", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == "0,2,i1,0.99,1.000000e+00,FAIL,5.000000e-01\n"
+    result = acceptance.check_abel_decay()
+    assert not result.passed
+    assert result.detail.startswith("decay failures [(0, 1, 0), (0, 2, 0), (0, 2, 1)]")
+    code, row = report_row(capsys, 10)
+    assert code == 1
+    assert row[2] == "FAIL"
 
 
 def test_report_walks_each_damped_stream_once():

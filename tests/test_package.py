@@ -36,7 +36,7 @@ PUBLIC = {
     ],
     "summation": [
         "HARD_EXPONENT_CAP", "DifferenceTable", "NonPolynomialSequenceError", "PowerSumSplit",
-        "TruncationInfeasibleError", "abel_evaluate", "difference_table",
+        "TruncationInfeasibleError", "abel_decay", "abel_evaluate", "difference_table",
         "euler_sum_alternating", "pentagonal_power_sum", "required_exponent_cap",
         "residue_class_abel",
     ],

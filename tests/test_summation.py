@@ -15,6 +15,7 @@ from pentafold import (
     Branch,
     NonPolynomialSequenceError,
     TruncationInfeasibleError,
+    abel_decay,
     abel_evaluate,
     difference_table,
     euler_sum_alternating,
@@ -232,9 +233,12 @@ def test_an_infinite_tolerance_is_refused_by_every_damped_entry():
     with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
         required_exponent_cap(1, 0.99, math.inf)
     with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
-        abel_evaluate(1, 2, 1, 0.99, math.inf, exponent_cap=100)  # no cap search to refuse it
+        abel_evaluate(1, 2, 1, 0.99, math.inf)
     with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
         residue_class_abel(1, 2, 1, 0.99, math.inf)
+    for point in ({"i": 1}, {"residue": 1}):
+        with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+            abel_decay(1, 2, 0.99, 0.9, math.inf, **point)
 
 
 def test_required_cap_rejects_a_tolerance_whose_tenth_underflows():
@@ -290,6 +294,19 @@ def test_abel_parameter_validation():
         residue_class_abel(0, 2, 2, 0.5)
 
 
+def test_damped_entries_check_the_root_order_then_rho_then_the_tolerance():
+    with pytest.raises(ValueError, match="^root order must be positive, got 0$"):
+        abel_evaluate(1, 0, 0, 1.5)
+    with pytest.raises(ValueError, match="^rho must lie strictly between 0 and 1, got 1.5$"):
+        residue_class_abel(1, 2, 0, 1.5, math.nan)
+    with pytest.raises(ValueError, match="^root order must be positive, got 0$"):
+        abel_decay(1, 0, 1.5, 0.9, math.nan)
+    with pytest.raises(ValueError, match="^tolerance must be positive, got nan$"):
+        abel_decay(1, 2, 0.99, 1.5, math.nan)  # the near point is checked first
+    with pytest.raises(ValueError, match="^rho must lie strictly between 0 and 1, got 1.5$"):
+        abel_decay(1, 2, 0.99, 1.5)
+
+
 def test_abel_matches_truncated_product():
     for rho in (0.3, 0.5, 0.9):
         tolerance = 1e-9
@@ -314,11 +331,42 @@ def test_abel_small_at_minus_one():
 def test_abel_decay_with_matching_caps():
     for exponent in range(4):
         for m in range(1, 5):
-            cap = required_exponent_cap(exponent, 0.999, 1e-9)
             for i in range(m):
-                near = abs(abel_evaluate(exponent, m, i, 0.999, 1e-9, exponent_cap=cap))
-                far = abs(abel_evaluate(exponent, m, i, 0.9, 1e-9, exponent_cap=cap))
-                assert near < far, (exponent, m, i, near, far)
+                near, far, decays = abel_decay(exponent, m, 0.999, 0.9, 1e-9, i=i)
+                assert decays and near < far, (exponent, m, i, near, far)
+
+
+def abel_at_cap(exponent, m, i, rho, tolerance, cap):
+    """abel_evaluate truncated at a pinned cap, as abel_evaluate's former
+    exponent_cap argument gave it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summation, "required_exponent_cap", lambda *args: cap)
+        return abel_evaluate(exponent, m, i, rho, tolerance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exponent=st.integers(min_value=0, max_value=4),
+    m=st.sampled_from([1, 2, 3, 5, 7, 12]),
+    index=st.integers(min_value=0, max_value=11),
+    on_residue=st.booleans(),
+    rho=st.sampled_from([0.9, 0.99, 0.995, 0.999]),
+    baseline=st.sampled_from([0.5, 0.9, 0.95, 0.999]),
+    tolerance=st.sampled_from([1e-6, 1e-9]),
+)
+@example(exponent=3, m=1, index=0, on_residue=False, rho=0.999, baseline=0.99, tolerance=1e-9)  # FAIL
+@example(exponent=1, m=5, index=3, on_residue=True, rho=0.99, baseline=0.9, tolerance=1e-9)  # empty class
+def test_abel_decay_keeps_the_cap_rule_of_each_point(exponent, m, index, on_residue, rho, baseline, tolerance):
+    # a root pair shares the cap of its larger radius; a residue value keeps its own
+    index %= m
+    if on_residue:
+        near, far = (abs(residue_class_abel(exponent, m, index, r, tolerance)) for r in (rho, baseline))
+        got = abel_decay(exponent, m, rho, baseline, tolerance, residue=index)
+    else:
+        cap = required_exponent_cap(exponent, max(rho, baseline), tolerance)
+        near, far = (abs(abel_at_cap(exponent, m, index, r, tolerance, cap)) for r in (rho, baseline))
+        got = abel_decay(exponent, m, rho, baseline, tolerance, i=index)
+    assert got == (near, far, near < far)
 
 
 def test_abel_is_within_tolerance_of_the_exact_sum():
@@ -400,16 +448,16 @@ def test_fixed_point_error_is_within_the_stated_bound():
 def test_shared_class_sums_equal_a_fresh_pass_and_are_read_only():
     cap = required_exponent_cap(3, 0.99, 1e-9)
     args = (3, 4, 0.99, cap, fixed_point_bits(3, 0.99, cap, 1e-9))
-    fresh = summation._class_pass(*args)
+    fresh = damped_class_sums.__wrapped__(*args)
     shared = damped_class_sums(*args)
-    assert shared == fresh and len(shared) == 4
+    assert shared == fresh and len(shared) == 4 and shared is not fresh
     assert damped_class_sums(*args) is shared
-    with pytest.raises(TypeError):
-        shared[0] = 0
-    with pytest.raises(AttributeError):
-        shared.clear()
-    fresh[0] = 0  # the caller's own copy, not the shared one
-    assert damped_class_sums(*args) == summation._class_pass(*args)
+    for result in (shared, fresh):
+        with pytest.raises(TypeError):
+            result[0] = 0
+        with pytest.raises(AttributeError):
+            result.clear()
+    assert damped_class_sums(*args) == damped_class_sums.__wrapped__(*args)
 
 
 def fused_class_pass(exponent, m, rho, cap, bits):
@@ -543,7 +591,7 @@ def test_abel_log_domain_terms_match_exact_sum():
         with localcontext() as ctx:
             ctx.prec = 60
             exact = sum(sign * Decimal(v) ** 120 * Decimal(rho) ** v for v, sign in signed_values(cap))
-        got = abel_evaluate(120, 2, 0, rho, exponent_cap=cap)
+        got = abel_evaluate(120, 2, 0, rho)
         assert cmath.isfinite(got)
         assert abs(Decimal(got.real) / exact - 1) < Decimal("1e-10")
 
