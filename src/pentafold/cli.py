@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # str(MemoryError()) is empty
         print(f"pentafold: {args.command}: not enough memory for this request", file=sys.stderr)
         return 2
+    except OverflowError:  # an integer flag past what a float or an index holds
+        print(f"pentafold: {args.command}: a number in this request is too large", file=sys.stderr)
+        return 2
     if args.command == "sum" and args.format == "table":
         text = "s=%s t=%s total=%s" % rows[0][1:]
     else:

@@ -142,12 +142,6 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     bound = tolerance / 10.0
     if not bound > 0.0:  # the doubling search below would never reach it
         raise ValueError(f"tolerance {tolerance} is too small: its tenth underflows to 0")
-    return _least_cap(exponent, rho, bound)
-
-
-@lru_cache(maxsize=64)  # criterion 10 asks 208 times for 4 distinct caps
-def _least_cap(exponent: int, rho: float, bound: float) -> int:
-    """The search behind required_exponent_cap, for a bound already checked."""
     log_rho = math.log(rho)
 
     def clears(cap: int) -> bool:
@@ -190,29 +184,9 @@ def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> i
     """
     _, denominator = rho.as_integer_ratio()
     exact_rho = denominator.bit_length() - 1
-    if cap < 1:
-        return exact_rho
     needed = exponent * math.log2(cap) + 3 * math.log2(2 * math.isqrt(cap))
     needed += math.log2(10) - math.log2(tolerance) + MARGIN_BITS
     return max(exact_rho, math.ceil(needed) + 1)
-
-
-@lru_cache(maxsize=64)  # criterion 10 alone asks 208 times for 48 distinct inputs
-def damped_class_sums(exponent: int, m: int, rho: float, cap: int, bits: int) -> Mapping[int, int]:
-    """Exact integer class sums of the damped stream: entry r is the sum of
-    the terms of _stream_terms whose value v is r (mod m); the constant term
-    adds 2**bits at r = 0 when exponent is 0.  A class no term reaches has no
-    entry, so the cost follows the cap, not m.
-
-    The result is read-only: the pass is a pure function of its arguments, so
-    each distinct input runs it once and later calls, such as every root
-    index of one evaluation point, share its result (the most recent 64
-    inputs are kept)."""
-    sums = {0: 1 << bits} if exponent == 0 else {}
-    for value, term in _stream_terms(exponent, rho, cap, bits):
-        r = value % m
-        sums[r] = sums.get(r, 0) + term
-    return MappingProxyType(sums)
 
 
 @lru_cache(maxsize=16)  # criterion 10 walks 8 distinct streams for 6 root orders each
@@ -244,27 +218,37 @@ def _stream_terms(exponent: int, rho: float, cap: int, bits: int) -> tuple[tuple
         to_plus = to_plus * numerator >> shift
 
 
+@lru_cache(maxsize=64)  # criterion 10 alone asks 208 times for 48 distinct points
 def _damped_classes(
     exponent: int, m: int, rho: float, tolerance: float, cap_radius: float
 ) -> tuple[int, Mapping[int, int]]:
-    """Validate, truncate at the cap of the caller's cap_radius (rho itself,
-    or the larger radius of an abel_decay pair), refuse a term beyond float
-    range before any exact work, then return the fixed-point bits and the
-    class sums."""
+    """The fixed-point bits and the read-only exact class sums of one damped
+    point: entry r sums the terms of _stream_terms whose value v is r (mod m),
+    and the constant term adds 2**bits at r = 0 when exponent is 0.  A class
+    no term reaches has no entry, so the cost follows the cap, not m.
+
+    Checks the inputs, truncates at the cap of cap_radius (rho itself, or the
+    larger radius of an abel_decay pair) and refuses a term beyond float range
+    before any exact work.  Each distinct point runs once; later calls, such
+    as every root index of one point, share its result."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     _check_tolerance(tolerance)
     cap = required_exponent_cap(exponent, cap_radius, tolerance)
-    if exponent and cap >= 1:
+    if exponent:
         log_term, value = _largest_log_term(exponent, rho, cap)
         if log_term > FLOAT_LOG_MAX:
             raise FloatRangeError(
                 f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
             )
     bits = fixed_point_bits(exponent, rho, cap, tolerance)
-    return bits, damped_class_sums(exponent, m, rho, cap, bits)
+    sums = {0: 1 << bits} if exponent == 0 else {}
+    for value, term in _stream_terms(exponent, rho, cap, bits):
+        r = value % m
+        sums[r] = sums.get(r, 0) + term
+    return bits, MappingProxyType(sums)
 
 
 def _to_complex(re: int, im: int, bits: int, rho: float) -> complex:
@@ -279,7 +263,7 @@ def _to_complex(re: int, im: int, bits: int, rho: float) -> complex:
 def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 1e-9) -> complex:
     """Damped numeric value of the stream series of value**exponent at the
     point rho times the i-th m-th root of unity alpha**i: the sum over the
-    classes r of C_r * 2**-P * alpha**(i*r), from damped_class_sums.
+    classes r of C_r * 2**-P * alpha**(i*r), from _damped_classes.
 
     Truncation stops at the smallest cap clearing the tail bound at rho.  The
     classes are folded exactly by i*r mod m, and each folded sum is multiplied
@@ -319,7 +303,7 @@ def _root_value(exponent: int, m: int, i: int, rho: float, tolerance: float, cap
 
 def residue_class_abel(exponent: int, m: int, residue: int, rho: float, tolerance: float = 1e-9) -> complex:
     """Damped value of the stream terms whose exponent is congruent to residue
-    mod m: the class sum C_residue of damped_class_sums, read directly, within
+    mod m: the class sum C_residue of _damped_classes, read directly, within
     the bounds abel_evaluate states (no roots involved).  Expected to sink
     toward 0 as rho -> 1."""
     if not 0 <= residue < m:

@@ -136,18 +136,23 @@ def test_criterion_05_names_a_planted_power_sum(monkeypatch, capsys, k, cut):
     assert row == ["5", "symmetric-function-values", "FAIL", result.detail]
 
 
-def test_report_runs_one_class_pass_per_distinct_input():
-    # criterion 10 evaluates 48 distinct (exponent, m, rho, cap) points, each
-    # at every root index, and its residue filters revisit the rho = 0.999 ones
-    summation.damped_class_sums.cache_clear()
+def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):
+    # criterion 10 evaluates 48 distinct (exponent, m, rho, tolerance,
+    # cap_radius) points, each at every root index, and its residue filters
+    # revisit the rho = 0.999 ones; each point searches for its cap once
+    searches = []
+    search = summation.required_exponent_cap
+    monkeypatch.setattr(summation, "required_exponent_cap", lambda *args: searches.append(args) or search(*args))
+    summation._damped_classes.cache_clear()
     try:
         results = acceptance.run_all()
-        passes = summation.damped_class_sums.cache_info()
+        passes = summation._damped_classes.cache_info()
     finally:
-        summation.damped_class_sums.cache_clear()
+        summation._damped_classes.cache_clear()
     assert results[9].number == 10 and results[9].passed
     assert 0 < passes.misses <= 48
     assert passes.misses == passes.currsize  # none evicted, so no input ran twice
+    assert len(searches) == passes.misses
 
 
 def test_a_planted_decay_verdict_reaches_abel_and_criterion_10(monkeypatch, capsys):
@@ -166,13 +171,13 @@ def test_a_planted_decay_verdict_reaches_abel_and_criterion_10(monkeypatch, caps
 def test_report_walks_each_damped_stream_once():
     # criterion 10's 48 class passes read 8 streams: exponents 0..3 at
     # rho = 0.999 and 0.9, each shared by every root order m
-    summation.damped_class_sums.cache_clear()
+    summation._damped_classes.cache_clear()
     summation._stream_terms.cache_clear()
     try:
         results = acceptance.run_all()
         walks = summation._stream_terms.cache_info().misses
     finally:
-        summation.damped_class_sums.cache_clear()
+        summation._damped_classes.cache_clear()
         summation._stream_terms.cache_clear()
     assert results[9].number == 10 and results[9].passed
     assert 0 < walks <= 8

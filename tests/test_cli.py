@@ -435,6 +435,26 @@ def test_out_of_memory_exits_two_with_one_line(argv):
     assert proc.stderr.splitlines() == [f"pentafold: {argv[0]}: not enough memory for this request"]
 
 
+
+HUGE = "1" + "0" * 400  # past float range, so no sum, cap or bound reaches a float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abel", "--lambda", "100000000000000000000000", "--m", "1"],  # past an index
+        ["abel", "--lambda", HUGE, "--m", "1"],
+        ["abel", "--lambda", HUGE, "--m", "1", "--r", "0"],
+        ["verify-pnt", "--degree", HUGE],
+    ],
+)
+def test_an_oversized_integer_exits_two_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"pentafold: {argv[0]}: a number in this request is too large"]
+
 def test_a_closed_pipe_exits_two_with_one_line():
     # about 1.2 MB of csv, far more than a pipe holds, so the write is still
     # under way when the reader goes

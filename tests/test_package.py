@@ -103,6 +103,18 @@ def test_no_module_takes_a_root_from_cos_sin_or_cmath():
                 assert node.value.id != "math" or node.attr not in trig, (source, node.attr)
 
 
+
+def test_no_public_function_of_a_layer_is_cached():
+    """A per-layer counter wraps only plain functions, so a public lru_cache
+    wrapper would drop out of it unseen: every cache sits behind a private
+    name, called by a public function the counters do see."""
+    layers = ["pentagonal", "sigma", "qseries", "cyclotomic", "summation", "acceptance", "cli"]
+    for layer in layers:
+        module = importlib.import_module(f"pentafold.{layer}")
+        public = {name: obj for name, obj in vars(module).items() if not name.startswith("_")}
+        cached = [name for name, obj in public.items() if hasattr(obj, "cache_info")]
+        assert cached == [], (layer, cached)
+
 def test_submodule_is_an_attribute_of_a_fresh_package():
     code = "import pentafold, pentafold.cli; print(pentafold.acceptance.__name__)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}

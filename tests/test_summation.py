@@ -27,7 +27,7 @@ from pentafold import (
 from pentafold import summation
 from pentafold.cyclotomic import root_of_unity_fixed
 from pentafold.pentagonal import differences, signed_values
-from pentafold.summation import MARGIN_BITS, FloatRangeError, damped_class_sums, fixed_point_bits
+from pentafold.summation import MARGIN_BITS, FloatRangeError, fixed_point_bits
 
 MINUS_ROW = [1, 5, 12, 22, 35, 51, 70]
 PLUS_ROW = [2, 7, 15, 26, 40, 57, 77]
@@ -338,10 +338,25 @@ def test_abel_decay_with_matching_caps():
 
 def abel_at_cap(exponent, m, i, rho, tolerance, cap):
     """abel_evaluate truncated at a pinned cap, as abel_evaluate's former
-    exponent_cap argument gave it."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(summation, "required_exponent_cap", lambda *args: cap)
-        return abel_evaluate(exponent, m, i, rho, tolerance)
+    exponent_cap argument gave it.  The point cache is keyed without the cap,
+    so it is emptied on entry and on exit: the pinned value neither reads an
+    entry made at the searched cap nor leaves one for later calls."""
+    summation._damped_classes.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(summation, "required_exponent_cap", lambda *args: cap)
+            return abel_evaluate(exponent, m, i, rho, tolerance)
+    finally:
+        summation._damped_classes.cache_clear()
+
+
+def test_an_evaluation_after_a_pinned_cap_equals_a_fresh_one():
+    args = (2, 3, 1, 0.99, 1e-9)
+    before = abel_evaluate(*args)
+    pinned = abel_at_cap(*args, cap=100)
+    after = abel_evaluate(*args)
+    summation._damped_classes.cache_clear()
+    assert before == after == abel_evaluate(*args) != pinned
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,24 +455,39 @@ def test_fixed_point_error_is_within_the_stated_bound():
         ctx.prec = PRECISION
         bound = Decimal(terms**3 * cap**exponent) / 2**bits  # the bound fixed_point_bits states
         assert bound <= Decimal(tolerance) / 10 / 2**MARGIN_BITS
-        sums = damped_class_sums(exponent, m, rho, cap, bits)
+        got_bits, sums = summation._damped_classes(exponent, m, rho, tolerance, rho)
+        assert got_bits == bits
         for residue, exact in enumerate(exact_class_sums(exponent, m, rho, cap)):
             assert abs(Decimal(sums.get(residue, 0)) / 2**bits - exact) <= bound
 
 
 def test_shared_class_sums_equal_a_fresh_pass_and_are_read_only():
-    cap = required_exponent_cap(3, 0.99, 1e-9)
-    args = (3, 4, 0.99, cap, fixed_point_bits(3, 0.99, cap, 1e-9))
-    fresh = damped_class_sums.__wrapped__(*args)
-    shared = damped_class_sums(*args)
-    assert shared == fresh and len(shared) == 4 and shared is not fresh
-    assert damped_class_sums(*args) is shared
-    for result in (shared, fresh):
+    args = (3, 4, 0.99, 1e-9, 0.99)
+    fresh = summation._damped_classes.__wrapped__(*args)
+    shared = summation._damped_classes(*args)
+    assert shared == fresh and len(shared[1]) == 4 and shared is not fresh
+    assert summation._damped_classes(*args) is shared
+    for _, sums in (shared, fresh):
         with pytest.raises(TypeError):
-            result[0] = 0
+            sums[0] = 0
         with pytest.raises(AttributeError):
-            result.clear()
-    assert damped_class_sums(*args) == damped_class_sums.__wrapped__(*args)
+            sums.clear()
+    assert summation._damped_classes(*args) == summation._damped_classes.__wrapped__(*args)
+
+
+def test_one_point_at_two_cap_radii_keeps_two_entries():
+    # the key holds cap_radius, not the cap it leads to, so a root pair's
+    # shared cap and the point's own cap are cached apart
+    summation._damped_classes.cache_clear()
+    try:
+        entries = [summation._damped_classes(2, 3, 0.99, 1e-9, radius) for radius in (0.99, 0.999)]
+        info = summation._damped_classes.cache_info()
+        assert info.misses == info.currsize == 2
+        for radius, entry in zip((0.99, 0.999), entries):
+            assert entry == summation._damped_classes.__wrapped__(2, 3, 0.99, 1e-9, radius)
+        assert entries[0] != entries[1]
+    finally:
+        summation._damped_classes.cache_clear()
 
 
 def fused_class_pass(exponent, m, rho, cap, bits):
@@ -494,9 +524,11 @@ def fused_class_pass(exponent, m, rho, cap, bits):
 )
 def test_shared_walk_class_sums_equal_the_fused_pass(exponent, m, rho, tolerance, pinned):
     # a pinned cap is the rho = 0.999 one, as criterion 10 pins it for rho = 0.9
-    cap = required_exponent_cap(exponent, 0.999 if pinned else rho, tolerance)
+    radius = 0.999 if pinned else rho
+    cap = required_exponent_cap(exponent, radius, tolerance)
     bits = fixed_point_bits(exponent, rho, cap, tolerance)
-    assert damped_class_sums(exponent, m, rho, cap, bits) == fused_class_pass(exponent, m, rho, cap, bits)
+    got = summation._damped_classes(exponent, m, rho, tolerance, radius)
+    assert got == (bits, fused_class_pass(exponent, m, rho, cap, bits))
 
 
 def gap_walk_terms(exponent, rho, cap, bits):
@@ -608,7 +640,7 @@ def test_a_term_beyond_float_range_is_refused_before_the_exact_pass(monkeypatch)
     def exact_pass(*args):
         raise AssertionError("the exact pass ran")
 
-    monkeypatch.setattr(summation, "damped_class_sums", exact_pass)
+    monkeypatch.setattr(summation, "_stream_terms", exact_pass)
     with pytest.raises(FloatRangeError):  # a term near e**463000
         abel_evaluate(5000, 3, 0, 0.9)
     with pytest.raises(FloatRangeError):
