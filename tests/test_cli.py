@@ -628,3 +628,13 @@ def test_json_and_table_output_match_golden(capsys, name, argv):
     golden = (GOLDEN / name).read_text(encoding="ascii")
     assert out == golden
     assert code == (1 if "FAIL" in golden else 0)
+
+
+@pytest.mark.parametrize("command", [None, *HANDLERS])
+def test_help_text_matches_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    name = "help" if command is None else f"help_{command.replace('-', '_')}"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="ascii")
