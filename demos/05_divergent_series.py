@@ -22,14 +22,14 @@ print()
 
 values = [pentagonal(k, Branch.MINUS) for k in range(1, 8)]
 print("Difference table of", values, ":")
-for row in difference_table(values).rows:
+for row in difference_table(values):
     print("  ", list(row))
 print("  1 - 5 + 12 - 22 + ... =", euler_sum_alternating(values))
 print()
 
 squares = [v * v for v in values]
 print("Difference table of the squares", squares, ":")
-for row in difference_table(squares).rows:
+for row in difference_table(squares):
     print("  ", list(row))
 print("  1 - 25 + 144 - 484 + ... =", euler_sum_alternating(squares))
 print()

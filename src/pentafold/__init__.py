@@ -53,7 +53,6 @@ _LAZY = {
     ),
     "summation": (
         "HARD_EXPONENT_CAP",
-        "DifferenceTable",
         "NonPolynomialSequenceError",
         "PowerSumSplit",
         "TruncationInfeasibleError",

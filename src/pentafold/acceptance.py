@@ -167,13 +167,13 @@ def check_euler_summation_regressions() -> CriterionResult:
     leibniz = euler_sum_alternating([1] * 8)
     elapsed = time.perf_counter() - start
     ok = (
-        linear.rows[1] == (4, 7, 10, 13, 16, 19)
-        and linear.rows[2] == (3, 3, 3, 3, 3)
-        and linear_plus.rows[1] == (5, 8, 11, 14, 17, 20)
-        and squares.rows[2] == (95, 221, 401, 635, 923)
-        and squares.rows[4] == (54, 54, 54)
-        and squares_plus.rows[3] == (144, 198, 252, 306)
-        and squares_plus.rows[4] == (54, 54, 54)
+        linear[1] == (4, 7, 10, 13, 16, 19)
+        and linear[2] == (3, 3, 3, 3, 3)
+        and linear_plus[1] == (5, 8, 11, 14, 17, 20)
+        and squares[2] == (95, 221, 401, 635, 923)
+        and squares[4] == (54, 54, 54)
+        and squares_plus[3] == (144, 198, 252, 306)
+        and squares_plus[4] == (54, 54, 54)
         and (one.s, one.t) == (Fraction(1, 8), Fraction(-1, 8))
         and (two.s, two.t) == (Fraction(3, 16), Fraction(-3, 16))
         and euler_sum_alternating([v * v for v in minus]) == Fraction(3, 16)

@@ -208,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="table", help="output format")
-
     p = sub.add_parser("seq", help="the signed term stream and its companions")
     p.add_argument("--count", type=POSITIVE, default=12, help="number of entries")
     p.add_argument("--include-zero", action="store_true", help="lead with the k=0 term")
@@ -218,31 +215,25 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--differences", action="store_true", help="difference progression of the merged sequence")
     mode.add_argument("--interpolated", action="store_true", help="merged sequence with interpolated fractions")
     mode.add_argument("--is-pentagonal", type=int, metavar="V", help="classify one value instead")
-    add_format(p)
 
     p = sub.add_parser("sigma", help="divisor-sum table")
     p.add_argument("--max", type=POSITIVE, required=True, help="largest n")
     p.add_argument("--method", choices=("brute", "recurrence"), default="recurrence")
     p.add_argument("--cache", help=f"sigma.csv cache path (env {CACHE_ENV_VAR} overrides)")
-    add_format(p)
 
     p = sub.add_parser("verify-pnt", help="product expansion vs sparse series")
     p.add_argument("--degree", type=NON_NEGATIVE, default=1000, help="truncation degree")
     p.add_argument("--dump", action="store_true", help="dump nonzero coefficients instead of verdicts")
-    add_format(p)
 
     p = sub.add_parser("verify-periods", help="period and basis cancellations")
     p.add_argument("--max-m", type=POSITIVE, default=24, help="largest root order")
     p.add_argument("--periods", type=POSITIVE, default=5, help="blocks to check per order")
-    add_format(p)
 
     p = sub.add_parser("verify-powersums", help="power sums vs divisor sums")
     p.add_argument("--count", type=POSITIVE, default=200, help="largest power-sum index")
-    add_format(p)
 
     p = sub.add_parser("sum", help="exact branch split of the power series")
     p.add_argument("--lambda", dest="exponent", type=NON_NEGATIVE, required=True, help="power applied to each value")
-    add_format(p)
 
     p = sub.add_parser("abel", help="damped numeric evaluation near a root")
     p.add_argument("--lambda", dest="exponent", type=NON_NEGATIVE, default=0, help="power applied to each value")
@@ -253,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=RADIUS, default=0.99, help="damping radius")
     p.add_argument("--baseline", type=RADIUS, default=0.9, help="radius to compare decay against")
     p.add_argument("--tolerance", type=float, default=1e-9, help="truncation tolerance")
-    add_format(p)
 
-    p = sub.add_parser("report", help="run the full acceptance suite")
-    add_format(p)
+    sub.add_parser("report", help="run the full acceptance suite")
 
+    for p in sub.choices.values():  # added last, so --format ends every help text
+        p.add_argument("--format", choices=FORMATS, default="table", help="output format")
     return parser
 
 

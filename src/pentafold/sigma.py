@@ -21,8 +21,8 @@ _WELL_FORMED = re.compile(rb"(?:[0-9]+,[0-9]+\n)*")
 class SigmaTable:
     """sigma(1..max_n), where sigma(n) sums all divisors of n, n included."""
 
-    def __init__(self, max_n: int, values: list[int]) -> None:
-        self.max_n = max_n
+    def __init__(self, values: list[int]) -> None:
+        self.max_n = len(values) - 1
         self.values = values  # values[n] = sigma(n); index 0 is an unused sentinel
 
     def __getitem__(self, n: int) -> int:
@@ -88,8 +88,8 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     if method not in ("brute", "recurrence"):
         raise ValueError(f"method must be 'brute' or 'recurrence', got {method!r}")
     if method == "brute":
-        return SigmaTable(max_n, _divisor_sieve(max_n))
-    return extend_table(SigmaTable(0, [0]), max_n)
+        return SigmaTable(_divisor_sieve(max_n))
+    return extend_table(SigmaTable([0]), max_n)
 
 
 def _divisor_sieve(max_n: int) -> list[int]:
@@ -110,7 +110,7 @@ def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
 
     values = [0]
     values += power_sums(pentagonal_series(max_n), max_n, known=table.values[1:])
-    return SigmaTable(max_n, values)
+    return SigmaTable(values)
 
 
 def first_wrong_sigma(values: list[int], upto: int) -> int | None:
@@ -147,12 +147,11 @@ def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
     (all of them by default) with first_wrong_sigma.  Any other layout, a gap
     in the numbering and a certified row that is not sigma are errors; the
     error for a wrong row names n, the stored value and sigma(n)."""
-    values = _parse_records(path, Path(path).read_bytes())
-    max_n = len(values) - 1
-    bad = first_wrong_sigma(values, max_n if rows is None else min(rows, max_n))
+    table = SigmaTable(_parse_records(path, Path(path).read_bytes()))
+    bad = first_wrong_sigma(table.values, table.max_n if rows is None else min(rows, table.max_n))
     if bad is not None:
-        raise ValueError(f"{path}: record n={bad} holds {values[bad]}, but sigma({bad}) = {sigma_brute(bad)}")
-    return SigmaTable(max_n, values)
+        raise ValueError(f"{path}: record n={bad} holds {table.values[bad]}, but sigma({bad}) = {sigma_brute(bad)}")
+    return table
 
 
 def _parse_records(path: str | Path, text: bytes) -> list[int]:

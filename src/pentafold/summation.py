@@ -44,22 +44,9 @@ class TruncationInfeasibleError(ValueError):
         self.cap = cap
 
 
-class DifferenceTable(NamedTuple):
-    """Row 0 is the input sequence; row d+1 holds the forward differences of
-    row d; the final row is the first all-zero one."""
-
-    rows: tuple[tuple, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.rows) - 1
-
-    def leading_entries(self) -> list:
-        return [row[0] for row in self.rows]
-
-
-def difference_table(seq: Sequence) -> DifferenceTable:
-    """Difference seq repeatedly until a row vanishes.
+def difference_table(seq: Sequence) -> tuple[tuple, ...]:
+    """The rows of seq's difference table: row 0 is seq, row d+1 holds the
+    forward differences of row d, and the final row is the first all-zero one.
 
     Raises NonPolynomialSequenceError when the rows shrink away before
     vanishing (the caller supplied too few terms).
@@ -73,7 +60,7 @@ def difference_table(seq: Sequence) -> DifferenceTable:
                 "differences did not vanish before the rows ran out; supply more terms"
             )
         rows.append(tuple(differences(rows[-1])))
-    return DifferenceTable(tuple(rows))
+    return tuple(rows)
 
 
 def euler_sum_alternating(seq: Sequence) -> Fraction:
@@ -82,10 +69,9 @@ def euler_sum_alternating(seq: Sequence) -> Fraction:
     finite because the rows vanish."""
     from fractions import Fraction  # imported here so the damped sums run without it
 
-    table = difference_table(seq)
     total = Fraction(0)
-    for d, lead in enumerate(table.leading_entries()):
-        term = Fraction(lead) / 2 ** (d + 1)
+    for d, row in enumerate(difference_table(seq)):
+        term = Fraction(row[0]) / 2 ** (d + 1)
         total += -term if d % 2 else term
     return total
 

@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines,
 or `pentafold report` for the same checks behind the CLI.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -181,3 +184,27 @@ def test_report_walks_each_damped_stream_once():
         summation._stream_terms.cache_clear()
     assert results[9].number == 10 and results[9].passed
     assert 0 < walks <= 8
+
+
+def perfbench_budgets() -> dict[int, float]:
+    """BUDGETS of perfbench/run.py, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    (budgets,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["BUDGETS"]
+    ]
+    return ast.literal_eval(budgets)
+
+
+def test_each_budget_perfbench_reports_against_is_the_one_report_enforces(monkeypatch):
+    # criterion n is ALL_CHECKS[n - 1]; a budgeted one passes just under its
+    # budget and fails at it, and an unbudgeted one passes at 10^9 s
+    budgets = perfbench_budgets()
+    for number, check in enumerate(acceptance.ALL_CHECKS, start=1):
+        budget = budgets.get(number)
+        cases = [(budget * (1 - 1e-9), True), (budget, False)] if budget else [(1e9, True)]
+        for elapsed, passes in cases:
+            clock = iter([0.0, elapsed])
+            monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+            result = check()
+            assert (result.number, result.elapsed, result.passed) == (number, elapsed, passes)

@@ -4,8 +4,11 @@ imports only the modules it runs."""
 import ast
 import copy
 import importlib
+import inspect
+import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +38,7 @@ PUBLIC = {
         "period_profile", "verify_basis_cancellation", "verify_period_cancellation",
     ],
     "summation": [
-        "HARD_EXPONENT_CAP", "DifferenceTable", "NonPolynomialSequenceError", "PowerSumSplit",
+        "HARD_EXPONENT_CAP", "NonPolynomialSequenceError", "PowerSumSplit",
         "TruncationInfeasibleError", "abel_decay", "abel_evaluate", "difference_table",
         "euler_sum_alternating", "pentagonal_power_sum", "required_exponent_cap",
         "residue_class_abel",
@@ -114,6 +117,39 @@ def test_no_public_function_of_a_layer_is_cached():
         public = {name: obj for name, obj in vars(module).items() if not name.startswith("_")}
         cached = [name for name, obj in public.items() if hasattr(obj, "cache_info")]
         assert cached == [], (layer, cached)
+
+def benchmarked_functions() -> set[str]:
+    """"<layer>.<function>" for every hook of perfbench/tracing.py and every
+    per-function metric BENCHMARK.json declares (.calls, .self_s and the
+    cli.cmd_<name>.s command times), read from the files, not imported."""
+    root = SRC.parent
+    tree = ast.parse((root / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (hooks,) = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and [getattr(t, "attr", None) for t in node.targets] == ["_hooks"]
+    ]
+    names = {key.value for key in hooks.keys}
+    for metric in json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]:
+        found = re.fullmatch(r"(\w+\.\w+)\.(?:calls|self_s)|(cli\.cmd_\w+)\.s", metric["name"])
+        if found:
+            names.add(found[1] or found[2])
+    return names
+
+
+def test_only_the_known_stale_counters_name_no_public_function():
+    """A deletion that strands a benchmark counter fails here; the benchmark
+    change that repairs the three known stale names empties the set."""
+    names = benchmarked_functions()
+    assert {"sigma.sigma_table", "qseries.power_sums", "cli.render", "cli.cmd_report"} <= names
+    stale = set()
+    for name in names:
+        layer, function = name.split(".")
+        module = importlib.import_module(f"pentafold.{layer}")
+        obj = getattr(module, function, None)
+        if function.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+            stale.add(name)
+    assert stale == {"qseries.multiply_truncated", "cyclotomic.residue_substream", "cyclotomic.substitute_stream"}
+
 
 def test_submodule_is_an_attribute_of_a_fresh_package():
     code = "import pentafold, pentafold.cli; print(pentafold.acceptance.__name__)"

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pentafold import (
+    SigmaTable,
     extend_table,
     first_wrong_sigma,
     is_pentagonal,
@@ -245,6 +246,14 @@ def test_table_lookup_bounds():
         table[0]
     with pytest.raises(ValueError):
         table[6]
+
+
+def test_table_counts_its_own_rows():
+    table = SigmaTable([0, 1, 3])
+    assert table.max_n == 2
+    assert table[2] == 3
+    with pytest.raises(ValueError, match=r"table holds sigma\(1\.\.2\), asked for sigma\(3\)"):
+        table[3]
 
 
 def test_recurrence_requires_table_coverage():

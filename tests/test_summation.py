@@ -136,28 +136,28 @@ def check_against_exact_sums(exponent: int, m: int, rho: float, tolerance: float
 
 
 def test_difference_table_linear_case():
-    table = difference_table(MINUS_ROW)
-    assert table.rows[1] == (4, 7, 10, 13, 16, 19)
-    assert table.rows[2] == (3, 3, 3, 3, 3)
-    assert table.rows[3] == (0, 0, 0, 0)
-    assert table.depth == 3
+    rows = difference_table(MINUS_ROW)
+    assert rows[1] == (4, 7, 10, 13, 16, 19)
+    assert rows[2] == (3, 3, 3, 3, 3)
+    assert rows[3] == (0, 0, 0, 0)
+    assert len(rows) - 1 == 3
 
 
 def test_difference_table_squares_case():
-    table = difference_table(PLUS_SQUARES)
-    assert table.rows[1] == (45, 176, 451, 924, 1649, 2680)
-    assert table.rows[2] == (131, 275, 473, 725, 1031)
-    assert table.rows[3] == (144, 198, 252, 306)
-    assert table.rows[4] == (54, 54, 54)
-    assert table.rows[5] == (0, 0)
+    rows = difference_table(PLUS_SQUARES)
+    assert rows[1] == (45, 176, 451, 924, 1649, 2680)
+    assert rows[2] == (131, 275, 473, 725, 1031)
+    assert rows[3] == (144, 198, 252, 306)
+    assert rows[4] == (54, 54, 54)
+    assert rows[5] == (0, 0)
 
 
 def test_difference_table_constant_sequence():
-    assert difference_table([7, 7, 7]).rows == ((7, 7, 7), (0, 0))
+    assert difference_table([7, 7, 7]) == ((7, 7, 7), (0, 0))
 
 
 def test_difference_table_all_zero_input():
-    assert difference_table([0, 0, 0]).rows == ((0, 0, 0),)
+    assert difference_table([0, 0, 0]) == ((0, 0, 0),)
 
 
 def test_difference_table_insufficient_terms():
@@ -594,8 +594,8 @@ def test_difference_table_rows_are_repeated_differences(coeffs, extra):
     while any(rows[-1]):
         rows.append(differences(rows[-1]))
     table = difference_table(seq)
-    assert table.rows == tuple(map(tuple, rows))
-    assert table.depth == degree + 1
+    assert table == tuple(map(tuple, rows))
+    assert len(table) - 1 == degree + 1
 
 
 def test_abel_cost_does_not_grow_with_the_root_order():
