@@ -19,12 +19,17 @@ from pentafold.cli import HANDLERS, build_parser, main, render
 
 GOLDEN = Path(__file__).parent / "golden"
 # abel at a root, on a residue class, on a pair whose verdict is FAIL, and on a
-# class no stream value reaches (both values 0, so FAIL too)
+# class no stream value reaches (both values 0, so FAIL too); then three roots
+# that pin the fixed-point root arithmetic: one off the quarter turns at m = 12,
+# one at an odd order, and one at an order with one root per folded class
 ABEL_GOLDENS = {
     "root": ["--lambda", "2", "--m", "3", "--i", "1", "--rho", "0.999"],
     "residue": ["--lambda", "1", "--m", "2", "--r", "0", "--rho", "0.99"],
     "fail": ["--lambda", "3", "--m", "1", "--rho", "0.999", "--baseline", "0.99"],
     "empty_class": ["--lambda", "1", "--m", "5", "--r", "3"],
+    "root_m12": ["--lambda", "0", "--m", "12", "--i", "5", "--rho", "0.999"],
+    "root_m7": ["--lambda", "2", "--m", "7", "--i", "3", "--rho", "0.999"],
+    "root_large_m": ["--lambda", "0", "--m", "100000000", "--i", "1", "--rho", "0.999"],
 }
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -611,6 +616,7 @@ def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
         ("sigma_300.json", ["sigma", "--max", "300", "--format", "json"]),
         ("sigma_300.txt", ["sigma", "--max", "300"]),
         ("periods_12.json", ["verify-periods", "--max-m", "12", "--format", "json"]),
+        ("periods_12.txt", ["verify-periods", "--max-m", "12"]),
         *((f"sum_{exponent}.{ext}", ["sum", "--lambda", str(exponent), "--format", fmt])
           for exponent in range(4) for ext, fmt in (("json", "json"), ("txt", "table"))),
         ("seq_interpolated_40.json", ["seq", "--count", "40", "--interpolated", "--format", "json"]),
