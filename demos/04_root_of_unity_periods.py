@@ -8,7 +8,7 @@ zero over one period.
 """
 
 from pentafold import period_profile, verify_basis_cancellation, verify_period_cancellation
-from pentafold.cyclotomic import root_of_unity_fixed
+from pentafold.summation import root_of_unity_fixed
 
 
 def render_block(m):

@@ -1,62 +1,13 @@
 """The cancellation checks on the signed pentagonal term stream, read from its
 (sign, exponent mod m) profile: the 4m-term block, proven to repeat, and the
-residue-class and partial-sum checks read from it; and the m-th roots of unity
-in exact fixed point, which the damped sums weight their class sums by."""
+residue-class and partial-sum checks read from it."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .pentagonal import iter_signed_values
-
-_GUARD_BITS = 20  # absorbs the truncation errors below, a few units per series term
-
-
-@lru_cache(maxsize=32)  # a report asks 192 times for 11 distinct widths
-def _pi_fixed(bits: int) -> int:
-    """pi * 2**bits to within 2 units, by Machin's pi/4 = 4 atan(1/5) - atan(1/239)."""
-    one = 1 << (bits + _GUARD_BITS)
-
-    def atan_inverse(x: int) -> int:  # atan(1/x) * one, each term truncated
-        total = term = one // x
-        n, sign = 1, 1
-        while term:
-            term //= x * x
-            n += 2
-            sign = -sign
-            total += sign * (term // n)
-        return total
-
-    return 4 * (4 * atan_inverse(5) - atan_inverse(239)) >> _GUARD_BITS
-
-
-def root_of_unity_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
-    """cos(2j*pi/m) and sin(2j*pi/m) times 2**bits as integers, each within 2
-    units of the exact value: the root at any precision, for sums whose
-    coordinates are too large for float roots.
-
-    The quarter turns in j/m are rotated out exactly, so the roots 1, -1, i and
-    -i come out exact, and the rest is the Taylor series of exp(sqrt(-1)*phi)
-    for phi in [0, pi/2), in fixed point with guard bits.
-    """
-    if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
-    quarter, rest = divmod(4 * (j % m), m)  # 2j*pi/m = quarter*pi/2 + (pi/2)*rest/m
-    width = bits + _GUARD_BITS
-    one = 1 << width
-    phi = _pi_fixed(width) * rest // (2 * m) if rest else 0
-    parts = [0, 0, 0, 0]  # the Taylor terms i**k phi**k / k! land on 1, i, -1, -i
-    term, k = one, 0
-    while term:
-        parts[k % 4] += term
-        k += 1
-        term = (term * phi >> width) // k
-    cos, sin = parts[0] - parts[2], parts[1] - parts[3]
-    for _ in range(quarter):
-        cos, sin = -sin, cos
-    return cos >> _GUARD_BITS, sin >> _GUARD_BITS
 
 
 def _check_residues(m: int, block: Iterable[tuple[int, int]] = ()) -> None:

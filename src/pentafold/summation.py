@@ -1,7 +1,7 @@
 """Summation of the divergent series attached to the pentagonal stream: exact
 difference-table summation for alternating series with eventually-polynomial
-terms, the two-branch power-sum split, and damped numeric evaluation at roots
-of unity and on residue classes, from exact fixed-point class sums."""
+terms, the two-branch power-sum split, and damped numeric evaluation on
+residue classes and at roots of unity, from fixed-point class sums and roots."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .cyclotomic import root_of_unity_fixed
 from .pentagonal import Branch, differences, iter_signed_values, pentagonal
 
 if TYPE_CHECKING:
@@ -235,6 +234,54 @@ def _damped_classes(
         r = value % m
         sums[r] = sums.get(r, 0) + term
     return bits, MappingProxyType(sums)
+
+
+_GUARD_BITS = 20  # absorbs the truncation errors below, a few units per series term
+
+
+@lru_cache(maxsize=32)  # a report asks 192 times for 11 distinct widths
+def _pi_fixed(bits: int) -> int:
+    """pi * 2**bits to within 2 units, by Machin's pi/4 = 4 atan(1/5) - atan(1/239)."""
+    one = 1 << (bits + _GUARD_BITS)
+
+    def atan_inverse(x: int) -> int:  # atan(1/x) * one, each term truncated
+        total = term = one // x
+        n, sign = 1, 1
+        while term:
+            term //= x * x
+            n += 2
+            sign = -sign
+            total += sign * (term // n)
+        return total
+
+    return 4 * (4 * atan_inverse(5) - atan_inverse(239)) >> _GUARD_BITS
+
+
+def root_of_unity_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
+    """cos(2j*pi/m) and sin(2j*pi/m) times 2**bits as integers, each within 2
+    units of the exact value: the root at any precision, for sums whose
+    coordinates are too large for float roots.
+
+    The quarter turns in j/m are rotated out exactly, so the roots 1, -1, i and
+    -i come out exact, and the rest is the Taylor series of exp(sqrt(-1)*phi)
+    for phi in [0, pi/2), in fixed point with guard bits.
+    """
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
+    quarter, rest = divmod(4 * (j % m), m)  # 2j*pi/m = quarter*pi/2 + (pi/2)*rest/m
+    width = bits + _GUARD_BITS
+    one = 1 << width
+    phi = _pi_fixed(width) * rest // (2 * m) if rest else 0
+    parts = [0, 0, 0, 0]  # the Taylor terms i**k phi**k / k! land on 1, i, -1, -i
+    term, k = one, 0
+    while term:
+        parts[k % 4] += term
+        k += 1
+        term = (term * phi >> width) // k
+    cos, sin = parts[0] - parts[2], parts[1] - parts[3]
+    for _ in range(quarter):
+        cos, sin = -sin, cos
+    return cos >> _GUARD_BITS, sin >> _GUARD_BITS
 
 
 def _to_complex(re: int, im: int, bits: int, rho: float) -> complex:

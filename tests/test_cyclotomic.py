@@ -17,7 +17,8 @@ from pentafold import (
     verify_basis_cancellation,
     verify_period_cancellation,
 )
-from pentafold.cyclotomic import iter_profile, root_of_unity_fixed
+from pentafold.cyclotomic import iter_profile
+from pentafold.summation import root_of_unity_fixed
 
 # One full 4m-term block in stream order, (sign, residue) per position;
 # these are the printed eight/twelve/sixteen/twenty-term periods.

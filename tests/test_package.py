@@ -89,6 +89,29 @@ def test_brute_sigma_csv_loads_neither_json_nor_the_series_layer():
     assert loaded & {"json", "pentafold.qseries"} == set()
 
 
+# The README's start-up table: the layers each command loads besides the
+# package, pentagonal and cli.
+START_UP_TABLE = {
+    "seq": (["seq", "--count", "5"], []),
+    "sigma-brute": (["sigma", "--max", "30", "--method", "brute"], ["sigma"]),
+    "sigma-recurrence": (["sigma", "--max", "30"], ["sigma", "qseries"]),
+    "verify-pnt": (["verify-pnt", "--degree", "30"], ["qseries"]),
+    "verify-periods": (["verify-periods", "--max-m", "3"], ["cyclotomic"]),
+    "verify-powersums": (["verify-powersums", "--count", "5"], ["qseries", "sigma"]),
+    "sum": (["sum", "--lambda", "2"], ["summation"]),
+    "abel-i": (["abel", "--lambda", "1", "--m", "3", "--i", "1"], ["summation"]),
+    "abel-r": (["abel", "--lambda", "1", "--m", "3", "--r", "1"], ["summation"]),
+    "report": (["report"], ["sigma", "qseries", "cyclotomic", "summation", "acceptance"]),
+}
+
+
+@pytest.mark.parametrize("argv, layers", START_UP_TABLE.values(), ids=START_UP_TABLE)
+def test_each_command_loads_exactly_its_start_up_row(argv, layers):
+    loaded = imported("-m", "pentafold", *argv)
+    ours = {name for name in loaded if name.split(".")[0] == "pentafold"}
+    assert ours == {"pentafold", "pentafold.pentagonal", "pentafold.cli", *(f"pentafold.{n}" for n in layers)}
+
+
 def test_no_module_takes_a_root_from_cos_sin_or_cmath():
     """root_of_unity_fixed is the one root formula: no source file reaches
     math.cos or math.sin, or imports cmath."""

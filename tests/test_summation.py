@@ -25,9 +25,8 @@ from pentafold import (
     residue_class_abel,
 )
 from pentafold import summation
-from pentafold.cyclotomic import root_of_unity_fixed
 from pentafold.pentagonal import differences, signed_values
-from pentafold.summation import MARGIN_BITS, FloatRangeError, fixed_point_bits
+from pentafold.summation import MARGIN_BITS, FloatRangeError, fixed_point_bits, root_of_unity_fixed
 
 MINUS_ROW = [1, 5, 12, 22, 35, 51, 70]
 PLUS_ROW = [2, 7, 15, 26, 40, 57, 77]
@@ -433,14 +432,19 @@ def test_damped_values_are_within_tolerance_on_the_full_grid():
 
 
 def test_fixed_point_roots_are_within_two_units():
-    bits = 120
-    for m in range(1, 25):
-        for j in range(-m, 2 * m):
-            cos, sin = root_of_unity_fixed(m, j, bits)
-            exact_cos, exact_sin = decimal_root(m, j)
-            with localcontext() as ctx:
-                ctx.prec = PRECISION
-                assert abs(cos - exact_cos * 2**bits) < 2 and abs(sin - exact_sin * 2**bits) < 2
+    cases = [(m, j, 120) for m in range(1, 25) for j in range(-m, 2 * m)]
+    cases += [  # large orders too, at j on and around each quarter turn
+        (m, j, bits)
+        for m in (997, 300001, 10**8, 2**40 + 1)
+        for j in (0, 1, 2, m // 4 - 1, m // 4, m // 4 + 1, m // 2, m // 2 + 1, 3 * m // 4, m - 1, -1, 7 * m + 3)
+        for bits in (0, 1, 53, 160)
+    ]
+    for m, j, bits in cases:
+        cos, sin = root_of_unity_fixed(m, j, bits)
+        exact_cos, exact_sin = decimal_root(m, j)
+        with localcontext() as ctx:
+            ctx.prec = PRECISION
+            assert abs(cos - exact_cos * 2**bits) < 2 and abs(sin - exact_sin * 2**bits) < 2, (m, j, bits)
     for m, j, root in ((1, 0, (1, 0)), (2, 1, (-1, 0)), (4, 1, (0, 1)), (8, 6, (0, -1)), (12, 9, (0, -1))):
         assert root_of_unity_fixed(m, j, bits) == (root[0] << bits, root[1] << bits)
 
