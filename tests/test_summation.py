@@ -432,19 +432,20 @@ def test_damped_values_are_within_tolerance_on_the_full_grid():
 
 
 def test_fixed_point_roots_are_within_two_units():
-    cases = [(m, j, 120) for m in range(1, 25) for j in range(-m, 2 * m)]
+    bits = 120
+    cases = [(m, j, bits) for m in range(1, 25) for j in range(-m, 2 * m)]
     cases += [  # large orders too, at j on and around each quarter turn
-        (m, j, bits)
+        (m, j, width)
         for m in (997, 300001, 10**8, 2**40 + 1)
         for j in (0, 1, 2, m // 4 - 1, m // 4, m // 4 + 1, m // 2, m // 2 + 1, 3 * m // 4, m - 1, -1, 7 * m + 3)
-        for bits in (0, 1, 53, 160)
+        for width in (0, 1, 53, 160)
     ]
-    for m, j, bits in cases:
-        cos, sin = root_of_unity_fixed(m, j, bits)
+    for m, j, width in cases:
+        cos, sin = root_of_unity_fixed(m, j, width)
         exact_cos, exact_sin = decimal_root(m, j)
         with localcontext() as ctx:
             ctx.prec = PRECISION
-            assert abs(cos - exact_cos * 2**bits) < 2 and abs(sin - exact_sin * 2**bits) < 2, (m, j, bits)
+            assert abs(cos - exact_cos * 2**width) < 2 and abs(sin - exact_sin * 2**width) < 2, (m, j, width)
     for m, j, root in ((1, 0, (1, 0)), (2, 1, (-1, 0)), (4, 1, (0, 1)), (8, 6, (0, -1)), (12, 9, (0, -1))):
         assert root_of_unity_fixed(m, j, bits) == (root[0] << bits, root[1] << bits)
 
