@@ -5,16 +5,16 @@ symmetric functions and power sums of the reciprocal roots."""
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import compress
-from operator import sub
+from operator import rshift, sub
 from typing import NamedTuple
 
 from .pentagonal import signed_values
 
-# Rows of power sums computed per block; support degrees j >= BLOCK read only
-# rows of earlier blocks, so their share is summed a whole block at a time.
+# Rows of power sums solved per block, each block packed into one integer.
 BLOCK = 64
 
 
@@ -147,40 +147,66 @@ def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> li
     """p_1..p_count of the reciprocal roots, exact integers throughout.
 
     Newton's identities in coefficient form, p_k = -k*a_k - sum over j < k of
-    a_j * p_(k-j), read off series * sum(p_k x^k) = -x * series'.  Only the
-    nonzero a_j are visited, so the cost is O(count * nonzeros): O(n sqrt n)
-    on the pentagonal series, where the -k*a_k term is the recurrence's
-    boundary rule (a subtrahend hitting k contributes k).
+    a_j * p_(k-j), read off S * P = T with P = sum(p_k x^k) and T = -x * S'.
+    Only the nonzero a_j are visited: O(count * nonzeros), O(n sqrt n) on the
+    pentagonal series, where -k*a_k is the recurrence's boundary rule (a
+    subtrahend hitting k contributes k).  known, if given, is taken as
+    p_1..p_n0 and the identities resume at n0 + 1.  It is trusted as given:
+    a wrong prefix gives wrong sums after it.
 
-    known, if given, is taken as p_1..p_n0 and the identities resume at
-    n0 + 1, so extending a list costs O((count - n0) * nonzeros).  It is
-    trusted as given: a wrong prefix gives wrong sums after it.
-
-    The rows are computed BLOCK at a time, with BLOCK zeros kept in front of
-    p, so that p[BLOCK + n] is p_n and every n <= 0 reads 0 (p_0 = 0 stands in
-    at j = k, and degrees j > k add nothing).  A degree j >= BLOCK reads only
-    rows before the block, so for the block from row K to row L - 1 it is one
-    slice p[BLOCK+K-j : BLOCK+L-j]; the slices are summed column by column at
-    C level, one sum per coefficient value, and scaled once.  Only the degrees
-    j < BLOCK are read row by row.
+    Rows are solved B = BLOCK at a time, each block one integer of w-bit
+    slots p + 2**(w-1) (x -> 2**w maps Z[x]/(x**B) into the integers mod
+    2**(w*B), a ring homomorphism), after B or more zero rows.  Degree j reads
+    its share of block b as pairs[b - d] >> w*r, r = -j mod B, d = (j + r)/B,
+    where pairs[q] is block q with q + 1 above it and block b reads 0.  Less
+    their biases the shares are acc, and the block R solves S_B * R = T - acc
+    mod x**B (S_B = S mod x**B) by one multiply with the inverse of S_B's
+    image, which Newton's iteration finds.  R is kept only while
+    top + mass * M < 2**(w-1), for mass = sum |a_j|, top = max j*|a_j| and M
+    the largest |p| known or decoded: then S_B * R and T - acc fit the slots
+    and agree mod 2**(w*B), so they are equal and the decoded R is the
+    solution, whether or not the pentagonal number theorem holds.  Otherwise
+    w doubles, from 32, and R is solved again.
     """
     _require_monic(series, count)
     if len(known) > count:
         raise ValueError(f"{len(known)} known power sums exceed count {count}")
-    a = series.coeffs
-    support = [(j, c) for j, c in series.nonzero()[1:] if j <= count]
-    degrees = [j for j, _ in support]
-    low = bisect_left(degrees, BLOCK)  # support[:low] holds the degrees j < BLOCK
-    near = support[:low]
-    p = [0] * (BLOCK + 1) + [*known] + [0] * (count - len(known))
-    for start in range(len(known) + 1, count + 1, BLOCK):
-        stop = min(start + BLOCK, count + 1)
-        slices: dict[int, list[list[int]]] = {}
-        for j, c in support[low : bisect_left(degrees, stop)]:
-            slices.setdefault(c, []).append(p[BLOCK + start - j : BLOCK + stop - j])
-        columns = [0] * (stop - start)
-        for c, group in slices.items():
-            columns = [t + c * s for t, s in zip(columns, map(sum, zip(*group)))]
-        for row, k, column in zip(range(BLOCK + start, BLOCK + stop), range(start, stop), columns):
-            p[row] = -k * a[k] - column - sum([c * p[row - j] for j, c in near])
-    return p[BLOCK + 1 :]
+    support = [(j, c) for j, c in series.nonzero() if j <= count]
+    mass, top = sum(map(abs, series.coeffs[: count + 1])), max([j * abs(c) for j, c in support])
+    by_value: dict[int, list[int]] = {}
+    for j, c in support[1:]:
+        by_value.setdefault(c, []).append(j)
+    p, w = [*known], 16  # w doubles to 32 before the first block
+    while len(p) < count:
+        w *= 2
+        size, bias, big = w * BLOCK, 1 << w - 1, max(map(abs, p), default=0)
+        if mass * big >= bias - top:
+            continue
+        mask = (1 << size) - 1
+        fill = mask // ((1 << w) - 1) * bias  # the bias in every slot: a block of zeros
+        padded = [0] * (BLOCK + -len(p) % BLOCK) + p + [0] * BLOCK  # zero rows, p, and block b, which reads 0
+        data = b"".join([(v + bias).to_bytes(w // 8, "little") for v in padded])
+        pairs = [int.from_bytes(data[i : i + size // 4], "little") for i in range(0, len(data) - size // 8, size // 8)]
+        image, inv = sum([c << w * j for j, c in support if j < BLOCK]), 1  # image is odd: inv = 1 is right mod 2
+        for k in range(1, size.bit_length()):  # Newton's step: inv right mod 2**(2**k)
+            inv = inv * (2 - image * inv) & (1 << (1 << k)) - 1
+        # (c, degrees j, -d_j, w * r_j): while block b is solved, len(pairs) == b, so pairs[-d] is pairs[b - d]
+        reads = [(c, js, [-j // BLOCK for j in js], [w * (-j % BLOCK) for j in js]) for c, js in by_value.items()]
+        unpack = struct.Struct(f"<{BLOCK}{'iq'[w > 32]}").unpack if w <= 64 else lambda twos: [
+            int.from_bytes(twos[i : i + w // 8], "little", signed=True) for i in range(0, size // 8, w // 8)]
+        for first in range(len(p) + 1, count + 1, BLOCK):
+            acc = biases = 0
+            for c, js, back, shifts in reads:
+                active = bisect_left(js, first + BLOCK)
+                biases += c * active
+                acc += c * sum(map(rshift, map(pairs.__getitem__, back[:active]), shifts[:active]))
+            here = support[bisect_left(support, (first,)) : bisect_left(support, (first + BLOCK,))]
+            r = inv * (sum([-j * c << w * (j - first) for j, c in here]) - acc + biases * fill) + fill & mask
+            rows = [*unpack((r ^ fill).to_bytes(size // 8, "little"))][: count - first + 1]  # r ^ fill: p, signed
+            big = max(big, *map(abs, rows))
+            if mass * big >= bias - top:
+                break
+            p += rows
+            pairs[-1] = pairs[-1] & mask | r << size
+            pairs.append(r | fill << size)
+    return p

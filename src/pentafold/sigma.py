@@ -80,8 +80,9 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     the pentagonal numbers.  The recurrence is Newton's identities on the
     pentagonal series: sigma(k) is the k-th power sum of its reciprocal roots,
     which power_sums reads off the sparse coefficients in O(n sqrt n), run
-    as extend_table from no rows.  recurrence_terms spells out the same sum
-    for one n.
+    as extend_table from no rows: 64 rows at a time in packed w-bit slots,
+    every block certified to fit them, whatever the series.  recurrence_terms
+    spells out the same sum for one n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
@@ -104,8 +105,10 @@ def _divisor_sieve(max_n: int) -> list[int]:
 
 def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
     """sigma(1..max_n), resuming the recurrence after the table's last row:
-    O((max_n - n0) sqrt max_n) for a table of n0 rows.  The rows held are
-    trusted, so certify a table from outside first (load_table does)."""
+    O((max_n - n0) sqrt max_n) for a table of n0 rows.  power_sums packs the
+    rows held into its slots once, sized by their largest value, and solves
+    from row n0 + 1 on.  The rows held are trusted, so certify a table from
+    outside first (load_table does)."""
     from .qseries import pentagonal_series, power_sums
 
     values = [0]

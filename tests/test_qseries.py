@@ -48,17 +48,20 @@ def newton_reference(coeffs, count):
 
 
 @st.composite
-def monic_series(draw, sparse, max_cap=40, max_nonzero=4):
+def monic_series(draw, sparse, max_cap=40, max_nonzero=4, largest=None):
     """A monic integer series and a count within its degree cap; the sparse
-    kind keeps at most max_nonzero nonzero coefficients."""
+    kind keeps at most max_nonzero nonzero coefficients.  Coefficients lie in
+    -largest..largest, by default 3 for the sparse kind and 9 for the dense."""
     cap = draw(st.integers(min_value=1, max_value=max_cap))
     coeffs = [1] + [0] * cap
     if sparse:
-        terms = st.dictionaries(st.integers(1, cap), st.integers(-3, 3), max_size=max_nonzero)
+        largest = largest or 3
+        terms = st.dictionaries(st.integers(1, cap), st.integers(-largest, largest), max_size=max_nonzero)
         for degree, value in draw(terms).items():
             coeffs[degree] = value
     else:
-        coeffs[1:] = draw(st.lists(st.integers(-9, 9), min_size=cap, max_size=cap))
+        largest = largest or 9
+        coeffs[1:] = draw(st.lists(st.integers(-largest, largest), min_size=cap, max_size=cap))
     return DenseSeries(tuple(coeffs)), draw(st.integers(min_value=1, max_value=cap))
 
 
@@ -230,6 +233,65 @@ def test_power_sums_sweep_every_count_and_every_prefix():
             assert power_sums(series, count) == reference[:count]
         for n0 in range(201):
             assert power_sums(series, 200, known=reference[:n0]) == reference[:200]
+
+
+def first_uncertified_row(coeffs, reference, w=32):
+    """The least k at which top + mass * max |p_1..p_k| reaches 2**(w - 1):
+    power_sums keeps no block holding row k in w-bit slots, and solves it
+    again in wider ones.  None if every row is certified at w."""
+    mass = sum(map(abs, coeffs))
+    top = max(j * abs(c) for j, c in enumerate(coeffs))
+    largest = 0
+    for k, p in enumerate(reference, start=1):
+        largest = max(largest, abs(p))
+        if top + mass * largest >= 2 ** (w - 1):
+            return k
+    return None
+
+
+def test_power_sums_widen_inside_the_first_block():
+    # 1 - 3x has p_k = 3**k, past 32-bit slots at k = 19 and past 64-bit ones
+    # at k = 39; p_197 needs 512-bit slots, so every width up to it is tried,
+    # and a known prefix past a width's reach widens before the first block
+    count = 3 * BLOCK + 5
+    series = DenseSeries((1, -3) + (0,) * count)
+    reference = newton_reference(series.coeffs, count)
+    assert reference == [3**k for k in range(1, count + 1)]
+    assert first_uncertified_row(series.coeffs, reference) == 19
+    assert first_uncertified_row(series.coeffs, reference, w=64) == 39
+    for n0 in (0, 1, 18, 19, BLOCK, BLOCK + 1, count - 1, count):
+        assert power_sums(series, count, known=reference[:n0]) == reference
+
+
+def test_power_sums_widen_after_late_blocks():
+    # 1 + x^7 - 3x^20 first outgrows 32-bit slots at row 209, in the fourth
+    # block: the three blocks before it are kept, and the rest are solved in
+    # 64-bit slots, which hold every row to 400
+    count = 400
+    series = DenseSeries((1,) + (0,) * 6 + (1,) + (0,) * 12 + (-3,) + (0,) * (count - 20))
+    reference = newton_reference(series.coeffs, count)
+    breaks = first_uncertified_row(series.coeffs, reference)
+    assert breaks == 209 and 3 * BLOCK < breaks <= 4 * BLOCK
+    assert first_uncertified_row(series.coeffs, reference, w=64) is None
+    for n0 in (0, 1, BLOCK, 3 * BLOCK, breaks - 1, breaks, breaks + 1, count - 1):
+        assert power_sums(series, count, known=reference[:n0]) == reference
+
+
+# Coefficients up to 10**6 outgrow 32-bit slots within a few rows.
+@settings(deadline=None)
+@given(
+    st.one_of(
+        monic_series(sparse=True, max_cap=3 * BLOCK, max_nonzero=8, largest=10**6),
+        monic_series(sparse=False, max_cap=BLOCK // 2, largest=10**6),
+    ),
+    st.data(),
+)
+def test_power_sums_with_large_coefficients_match_dense_newton(case, data):
+    series, count = case
+    reference = newton_reference(series.coeffs, count)
+    assert power_sums(series, count) == reference
+    n0 = data.draw(st.integers(min_value=0, max_value=count))
+    assert power_sums(series, count, known=reference[:n0]) == reference
 
 
 def test_symmetric_function_domain_errors():

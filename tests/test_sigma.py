@@ -121,6 +121,10 @@ def test_certificate_passes_the_recurrence_at_scale(recurrence_30k):
     assert first_wrong_sigma(recurrence_30k.values, recurrence_30k.max_n) is None
 
 
+def test_certificate_passes_the_recurrence_at_a_hundred_thousand():
+    assert first_wrong_sigma(sigma_table(10**5, "recurrence").values, 10**5) is None
+
+
 @pytest.mark.slow
 def test_certificate_passes_the_recurrence_at_a_million():
     """Certifying sigma up to 10**6 also proves the pentagonal number theorem
