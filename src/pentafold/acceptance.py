@@ -5,6 +5,7 @@ the test suite asserts them one by one."""
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,6 +45,12 @@ class CriterionResult(NamedTuple):
     passed: bool
     detail: str
     elapsed: float
+
+
+def _first_difference(got: Sequence, want: Sequence) -> int:
+    """The least index at which got and want differ; an entry only one of
+    them has differs."""
+    return next(i for i in range(max(len(got), len(want))) if got[i : i + 1] != want[i : i + 1])
 
 
 def _signed_chain(terms: list[int]) -> str:
@@ -94,13 +101,14 @@ def check_product_identity() -> CriterionResult:
     """Criterion 4: the truncated product equals the sparse series, < 5 s."""
     degree = 1000
     start = time.perf_counter()
-    same = euler_product(degree) == pentagonal_series(degree)
+    product, series = euler_product(degree).coeffs, pentagonal_series(degree).coeffs
+    same = product == series
     elapsed = time.perf_counter() - start
     ok = same and elapsed < 5.0
-    return CriterionResult(
-        4, "pentagonal-number-theorem", ok,
-        f"product == sparse series coefficient-for-coefficient at degree {degree}", elapsed,
-    )
+    detail = f"product == sparse series coefficient-for-coefficient at degree {degree}"
+    if not same:
+        detail = f"product != sparse series first at degree {_first_difference(product, series)}"
+    return CriterionResult(4, "pentagonal-number-theorem", ok, detail, elapsed)
 
 
 def check_symmetric_functions() -> CriterionResult:
@@ -124,15 +132,19 @@ def check_period_cancellation() -> CriterionResult:
     max_m, periods = 24, 5
     start = time.perf_counter()
     failures = [m for m in range(1, max_m + 1) if not verify_period_cancellation(m, periods).passed]
-    verbatim_ok = all(period_profile(m) == block for m, block in PRINTED_BLOCKS.items())
+    misprinted = [m for m, block in PRINTED_BLOCKS.items() if period_profile(m) != block]
     elapsed = time.perf_counter() - start
-    ok = not failures and verbatim_ok and elapsed < 1.0
+    ok = not failures and not misprinted and elapsed < 1.0
     detail = (
         f"per-residue sums zero and profiles repeat for m <= {max_m} over {periods} blocks; "
         f"printed blocks for m = 2, 3, 4, 5 reproduced"
     )
-    if failures:
-        detail = f"period cancellation failed for m = {failures}"
+    if failures or misprinted:
+        parts = [f"period cancellation failed for m = {failures}"] if failures else []
+        for m in misprinted[:1]:
+            position = _first_difference(period_profile(m), PRINTED_BLOCKS[m])
+            parts.append(f"printed block for m = {m} differs first at position {position}")
+        detail = "; ".join(parts)
     return CriterionResult(6, "period-cancellation", ok, detail, elapsed)
 
 
@@ -193,11 +205,11 @@ def check_power_sum_identity() -> CriterionResult:
     start = time.perf_counter()
     totals = [pentagonal_power_sum(ex).total for ex in range(max_exponent + 1)]
     elapsed = time.perf_counter() - start
-    ok = all(t == 0 for t in totals)
-    return CriterionResult(
-        9, "generalized-power-sum-identity", ok,
-        f"total == 0 exactly for exponents 0..{max_exponent}", elapsed,
-    )
+    nonzero = [ex for ex, t in enumerate(totals) if t != 0]
+    detail = f"total == 0 exactly for exponents 0..{max_exponent}"
+    if nonzero:
+        detail = f"total == {totals[nonzero[0]]} != 0 first at exponent {nonzero[0]}"
+    return CriterionResult(9, "generalized-power-sum-identity", not nonzero, detail, elapsed)
 
 
 def check_abel_decay() -> CriterionResult:

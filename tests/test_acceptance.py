@@ -13,6 +13,8 @@ import pytest
 
 from pentafold import acceptance, summation
 from pentafold import (
+    DenseSeries,
+    euler_product,
     euler_sum_alternating,
     pentagonal_power_sum,
     power_sums,
@@ -20,6 +22,7 @@ from pentafold import (
     sigma_table,
     period_profile,
     verify_basis_cancellation,
+    verify_period_cancellation,
 )
 from pentafold.cli import main
 
@@ -137,6 +140,68 @@ def test_criterion_05_names_a_planted_power_sum(monkeypatch, capsys, k, cut):
     code, row = report_row(capsys, 5)
     assert code == 1
     assert row == ["5", "symmetric-function-values", "FAIL", result.detail]
+
+
+def planted_at(function, key, change):
+    """function with change applied to its result where its first argument is key."""
+    return lambda *args: change(function(*args)) if args[0] == key else function(*args)
+
+
+def sign_flipped(block: list, position: int) -> list:
+    sign, residue = block[position]
+    return [*block[:position], (-sign, residue), *block[position + 1 :]]
+
+
+# Criterion, the layer function it calls, the argument at which the fault is
+# planted, the fault, and the detail that must name it.  The arguments avoid
+# what criteria 5, 7 and 8 read: euler_product(200), period_profile(1) and
+# (5), pentagonal_power_sum(1) and (2).
+PLANTED_FAULTS = {
+    "product-degree-500": (
+        4, "euler_product", 1000, lambda series: DenseSeries((*series.coeffs[:500], 1, *series.coeffs[501:])),
+        "product != sparse series first at degree 500",
+    ),
+    "product-short": (
+        4, "euler_product", 1000, lambda series: DenseSeries(series.coeffs[:-1]),
+        "product != sparse series first at degree 1000",
+    ),
+    "printed-block-m3": (
+        6, "period_profile", 3, lambda block: sign_flipped(block, 4),
+        "printed block for m = 3 differs first at position 4",
+    ),
+    "printed-block-m2": (
+        6, "period_profile", 2, lambda block: sign_flipped(block, 0),
+        "printed block for m = 2 differs first at position 0",
+    ),
+    "period-m7": (
+        6, "verify_period_cancellation", 7, lambda report: report._replace(violations=("planted",)),
+        "period cancellation failed for m = [7]",
+    ),
+    "total-exponent-7": (
+        9, "pentagonal_power_sum", 7, lambda split: split._replace(total=split.total + 1),
+        "total == 1 != 0 first at exponent 7",
+    ),
+    "total-exponent-0": (
+        9, "pentagonal_power_sum", 0, lambda split: split._replace(total=Fraction(-1, 2)),
+        "total == -1/2 != 0 first at exponent 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS.keys())
+def test_a_planted_fault_fails_its_criterion_and_names_itself(monkeypatch, capsys, case):
+    number, name, key, change, detail = case
+    monkeypatch.setattr(acceptance, name, planted_at(getattr(acceptance, name), key, change))
+    result = acceptance.ALL_CHECKS[number - 1]()
+    assert (result.number, result.passed, result.detail) == (number, False, detail)
+    code = main(["report", "--format", "csv"])
+    rows = [line.split(",", 3) for line in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert rows[number - 1][2:] == ["FAIL", detail]
+    # every other row passes, but for criteria 1 and 2: they time a window of
+    # about 10 us against 1 ms, which a preempted process can overrun
+    failing = {row[0] for row in rows if row[2] == "FAIL"}
+    assert str(number) in failing and failing <= {str(number), "1", "2"}
 
 
 def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):
