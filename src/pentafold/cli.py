@@ -100,19 +100,16 @@ def cmd_seq(args) -> tuple[list[tuple], list[str], bool]:
 
 def cmd_sigma(args) -> tuple[list[tuple], list[str], bool]:
     """The cache serves the rows it holds, certified first; a short one is
-    extended by the recurrence, or, for --method brute, re-sieved."""
+    certified whole, then built again by --method and written back."""
     from pathlib import Path
 
-    from .sigma import extend_table, load_table, save_table, sigma_table
+    from .sigma import load_table, save_table, sigma_table
 
     path = os.environ.get(CACHE_ENV_VAR) or args.cache  # the variable overrides the flag
     cache = Path(path) if path else None
     table = load_table(cache, rows=args.max) if cache is not None and cache.exists() else None
     if table is None or table.max_n < args.max:
-        if table is not None and args.method == "recurrence":
-            table = extend_table(table, args.max)
-        else:
-            table = sigma_table(args.max, args.method)
+        table = sigma_table(args.max, args.method)
         if cache is not None:
             save_table(table, cache)
     return list(zip(range(1, args.max + 1), table.values[1 : args.max + 1])), ["n", "sigma"], True

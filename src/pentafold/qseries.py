@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from collections.abc import Sequence
 from itertools import compress
 from operator import rshift, sub
 from typing import NamedTuple
@@ -143,40 +142,37 @@ def elementary_symmetric(series: DenseSeries, count: int) -> list[int]:
     return [-c if k % 2 else c for k, c in enumerate(series.coeffs[1 : count + 1], start=1)]
 
 
-def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> list[int]:
+def power_sums(series: DenseSeries, count: int) -> list[int]:
     """p_1..p_count of the reciprocal roots, exact integers throughout.
 
     Newton's identities in coefficient form, p_k = -k*a_k - sum over j < k of
     a_j * p_(k-j), read off S * P = T with P = sum(p_k x^k) and T = -x * S'.
     Only the nonzero a_j are visited: O(count * nonzeros), O(n sqrt n) on the
     pentagonal series, where -k*a_k is the recurrence's boundary rule (a
-    subtrahend hitting k contributes k).  known, if given, is taken as
-    p_1..p_n0 and the identities resume at n0 + 1.  It is trusted as given:
-    a wrong prefix gives wrong sums after it.
+    subtrahend hitting k contributes k).
 
     Rows are solved B = BLOCK at a time, each block one integer of w-bit
     slots p + 2**(w-1) (x -> 2**w maps Z[x]/(x**B) into the integers mod
-    2**(w*B), a ring homomorphism), after B or more zero rows.  Degree j reads
+    2**(w*B), a ring homomorphism), after B zero rows.  Degree j reads
     its share of block b as pairs[b - d] >> w*r, r = -j mod B, d = (j + r)/B,
     where pairs[q] is block q with q + 1 above it and block b reads 0.  Less
     their biases the shares are acc, and the block R solves S_B * R = T - acc
     mod x**B (S_B = S mod x**B) by one multiply with the inverse of S_B's
     image, which Newton's iteration finds.  R is kept only while
     top + mass * M < 2**(w-1), for mass = sum |a_j|, top = max j*|a_j| and M
-    the largest |p| known or decoded: then S_B * R and T - acc fit the slots
-    and agree mod 2**(w*B), so they are equal and the decoded R is the
-    solution, whether or not the pentagonal number theorem holds.  Otherwise
-    w doubles, from 32, and R is solved again.
+    the largest |p| decoded: then S_B * R and T - acc fit the slots and
+    agree mod 2**(w*B), so they are equal and the decoded R is the solution,
+    whether or not the pentagonal number theorem holds.  Otherwise w doubles,
+    from 32, the rows kept so far (whole blocks) are packed again, and R is
+    solved again.
     """
     _require_monic(series, count)
-    if len(known) > count:
-        raise ValueError(f"{len(known)} known power sums exceed count {count}")
     support = [(j, c) for j, c in series.nonzero() if j <= count]
     mass, top = sum(map(abs, series.coeffs[: count + 1])), max([j * abs(c) for j, c in support])
     by_value: dict[int, list[int]] = {}
     for j, c in support[1:]:
         by_value.setdefault(c, []).append(j)
-    p, w = [*known], 16  # w doubles to 32 before the first block
+    p, w = [], 16  # w doubles to 32 before the first block
     while len(p) < count:
         w *= 2
         size, bias, big = w * BLOCK, 1 << w - 1, max(map(abs, p), default=0)
@@ -184,7 +180,7 @@ def power_sums(series: DenseSeries, count: int, known: Sequence[int] = ()) -> li
             continue
         mask = (1 << size) - 1
         fill = mask // ((1 << w) - 1) * bias  # the bias in every slot: a block of zeros
-        padded = [0] * (BLOCK + -len(p) % BLOCK) + p + [0] * BLOCK  # zero rows, p, and block b, which reads 0
+        padded = [0] * BLOCK + p + [0] * BLOCK  # zero rows, p (whole blocks), and block b, which reads 0
         data = b"".join([(v + bias).to_bytes(w // 8, "little") for v in padded])
         pairs = [int.from_bytes(data[i : i + size // 4], "little") for i in range(0, len(data) - size // 8, size // 8)]
         image, inv = sum([c << w * j for j, c in support if j < BLOCK]), 1  # image is odd: inv = 1 is right mod 2

@@ -1,7 +1,8 @@
 """Divisor sums two ways: by the divisors themselves (trial division for one
 n, a sieve for a table), and by the recurrence over pentagonal subtrahends with
-its boundary rule (a subtrahend hitting n contributes n).  A table read from
-disk is certified against the divisor sieve before use."""
+its boundary rule (a subtrahend hitting n contributes n).  Each table is built
+whole, from row 1.  A table read from disk is certified against the divisor
+sieve before use."""
 
 from __future__ import annotations
 
@@ -79,10 +80,10 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     about (n/2) ln n additions, summing the divisors themselves with no use of
     the pentagonal numbers.  The recurrence is Newton's identities on the
     pentagonal series: sigma(k) is the k-th power sum of its reciprocal roots,
-    which power_sums reads off the sparse coefficients in O(n sqrt n), run
-    as extend_table from no rows: 64 rows at a time in packed w-bit slots,
-    every block certified to fit them, whatever the series.  recurrence_terms
-    spells out the same sum for one n.
+    which power_sums reads off the sparse coefficients in O(n sqrt n), from
+    row 1: 64 rows at a time in packed w-bit slots, every block certified to
+    fit them, whatever the series.  recurrence_terms spells out the same sum
+    for one n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
@@ -90,7 +91,9 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
         raise ValueError(f"method must be 'brute' or 'recurrence', got {method!r}")
     if method == "brute":
         return SigmaTable(_divisor_sieve(max_n))
-    return extend_table(SigmaTable([0]), max_n)
+    from .qseries import pentagonal_series, power_sums
+
+    return SigmaTable([0, *power_sums(pentagonal_series(max_n), max_n)])
 
 
 def _divisor_sieve(max_n: int) -> list[int]:
@@ -101,19 +104,6 @@ def _divisor_sieve(max_n: int) -> list[int]:
         values[square::d] = map(add, values[square::d], range(2 * d, d + max_n // d + 1))
         values[square] -= d
     return values
-
-
-def extend_table(table: SigmaTable, max_n: int) -> SigmaTable:
-    """sigma(1..max_n), resuming the recurrence after the table's last row:
-    O((max_n - n0) sqrt max_n) for a table of n0 rows.  power_sums packs the
-    rows held into its slots once, sized by their largest value, and solves
-    from row n0 + 1 on.  The rows held are trusted, so certify a table from
-    outside first (load_table does)."""
-    from .qseries import pentagonal_series, power_sums
-
-    values = [0]
-    values += power_sums(pentagonal_series(max_n), max_n, known=table.values[1:])
-    return SigmaTable(values)
 
 
 def first_wrong_sigma(values: list[int], upto: int) -> int | None:
@@ -147,7 +137,8 @@ def save_table(table: SigmaTable, path: str | Path) -> None:
 
 def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
     """Read a table written by save_table and certify its first `rows` rows
-    (all of them by default) with first_wrong_sigma.  Any other layout, a gap
+    (all of them by default) with first_wrong_sigma.  Rows past `rows` are
+    parsed but not certified, so serve none of them.  Any other layout, a gap
     in the numbering and a certified row that is not sigma are errors; the
     error for a wrong row names n, the stored value and sigma(n)."""
     table = SigmaTable(_parse_records(path, Path(path).read_bytes()))

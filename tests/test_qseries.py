@@ -170,39 +170,17 @@ def test_power_sums_match_dense_newton(case):
     assert power_sums(series, count) == newton_reference(series.coeffs, count)
 
 
-def test_power_sums_resume_from_a_known_prefix():
-    series = pentagonal_series(400)
-    cold = power_sums(series, 400)
-    # prefixes ending just before, on and after nonzero degrees 1, 2, 5, 7, 12, 15
-    for n0 in (0, 1, 2, 4, 5, 6, 7, 12, 15, 16, 399, 400):
-        assert power_sums(series, 400, known=cold[:n0]) == cold
-    with pytest.raises(ValueError):
-        power_sums(series, 400, known=cold + [0])
-
-
-@given(st.one_of(monic_series(sparse=True), monic_series(sparse=False)), st.data())
-def test_power_sums_resume_matches_cold_on_random_series(case, data):
-    series, count = case
-    cold = power_sums(series, count)
-    n0 = data.draw(st.integers(min_value=0, max_value=count))
-    assert power_sums(series, count, known=cold[:n0]) == cold
-
-
 # Caps up to five blocks, so that many rows read degrees j >= BLOCK as slices.
 @settings(deadline=None)
 @given(
     st.one_of(
         monic_series(sparse=True, max_cap=5 * BLOCK, max_nonzero=24),
         monic_series(sparse=False, max_cap=5 * BLOCK),
-    ),
-    st.data(),
+    )
 )
-def test_blocked_power_sums_match_dense_newton(case, data):
+def test_blocked_power_sums_match_dense_newton(case):
     series, count = case
-    reference = newton_reference(series.coeffs, count)
-    assert power_sums(series, count) == reference
-    n0 = data.draw(st.integers(min_value=0, max_value=count))
-    assert power_sums(series, count, known=reference[:n0]) == reference
+    assert power_sums(series, count) == newton_reference(series.coeffs, count)
 
 
 EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
@@ -211,28 +189,22 @@ EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
 @pytest.mark.parametrize("count", EDGES)
 def test_power_sums_at_block_edges(count):
     # a series with a coefficient at every degree, of every size, and the
-    # pentagonal one, with prefixes ending on and beside the block edges
+    # pentagonal one, at counts ending on and beside the block edges
     dense = DenseSeries((1, *(((d * 7) % 11 - 5) for d in range(1, 2 * BLOCK + 2))))
     for series in (dense, pentagonal_series(2 * BLOCK + 1)):
-        reference = newton_reference(series.coeffs, count)
-        assert power_sums(series, count) == reference
-        for n0 in (0, 1, *EDGES):
-            if n0 <= count:
-                assert power_sums(series, count, known=reference[:n0]) == reference
+        assert power_sums(series, count) == newton_reference(series.coeffs, count)
 
 
 def test_power_sums_sweep_every_count_and_every_prefix():
-    # every count through three blocks, and every known prefix at count 200,
-    # on the pentagonal series and on one with a coefficient at every degree;
-    # p_1..p_count do not depend on the count, so one reference serves all
-    cap = max(3 * BLOCK, 200)
+    # every count through three blocks and past them, on the pentagonal
+    # series and on one with a coefficient at every degree: p_1..p_count do
+    # not depend on the count, so each count returns a prefix of one reference
+    cap = 3 * BLOCK + 8
     dense = DenseSeries((1, *(((d * 7) % 11 - 5) for d in range(1, cap + 1))))
     for series in (dense, pentagonal_series(cap)):
         reference = newton_reference(series.coeffs, cap)
-        for count in range(1, 3 * BLOCK + 1):
+        for count in range(1, cap + 1):
             assert power_sums(series, count) == reference[:count]
-        for n0 in range(201):
-            assert power_sums(series, 200, known=reference[:n0]) == reference[:200]
 
 
 def first_uncertified_row(coeffs, reference, w=32):
@@ -252,15 +224,14 @@ def first_uncertified_row(coeffs, reference, w=32):
 def test_power_sums_widen_inside_the_first_block():
     # 1 - 3x has p_k = 3**k, past 32-bit slots at k = 19 and past 64-bit ones
     # at k = 39; p_197 needs 512-bit slots, so every width up to it is tried,
-    # and a known prefix past a width's reach widens before the first block
+    # each time from row 1
     count = 3 * BLOCK + 5
     series = DenseSeries((1, -3) + (0,) * count)
     reference = newton_reference(series.coeffs, count)
     assert reference == [3**k for k in range(1, count + 1)]
     assert first_uncertified_row(series.coeffs, reference) == 19
     assert first_uncertified_row(series.coeffs, reference, w=64) == 39
-    for n0 in (0, 1, 18, 19, BLOCK, BLOCK + 1, count - 1, count):
-        assert power_sums(series, count, known=reference[:n0]) == reference
+    assert power_sums(series, count) == reference
 
 
 def test_power_sums_widen_after_late_blocks():
@@ -273,8 +244,7 @@ def test_power_sums_widen_after_late_blocks():
     breaks = first_uncertified_row(series.coeffs, reference)
     assert breaks == 209 and 3 * BLOCK < breaks <= 4 * BLOCK
     assert first_uncertified_row(series.coeffs, reference, w=64) is None
-    for n0 in (0, 1, BLOCK, 3 * BLOCK, breaks - 1, breaks, breaks + 1, count - 1):
-        assert power_sums(series, count, known=reference[:n0]) == reference
+    assert power_sums(series, count) == reference
 
 
 # Coefficients up to 10**6 outgrow 32-bit slots within a few rows.
@@ -283,15 +253,11 @@ def test_power_sums_widen_after_late_blocks():
     st.one_of(
         monic_series(sparse=True, max_cap=3 * BLOCK, max_nonzero=8, largest=10**6),
         monic_series(sparse=False, max_cap=BLOCK // 2, largest=10**6),
-    ),
-    st.data(),
+    )
 )
-def test_power_sums_with_large_coefficients_match_dense_newton(case, data):
+def test_power_sums_with_large_coefficients_match_dense_newton(case):
     series, count = case
-    reference = newton_reference(series.coeffs, count)
-    assert power_sums(series, count) == reference
-    n0 = data.draw(st.integers(min_value=0, max_value=count))
-    assert power_sums(series, count, known=reference[:n0]) == reference
+    assert power_sums(series, count) == newton_reference(series.coeffs, count)
 
 
 def test_symmetric_function_domain_errors():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from pentafold import (
     SigmaTable,
-    extend_table,
     first_wrong_sigma,
     is_pentagonal,
     load_table,
@@ -220,14 +219,6 @@ def test_certificate_finds_what_the_multiplicative_reference_finds(max_n, change
             values[i] += delta
     upto %= max_n + 1
     assert first_wrong_sigma(values, upto) == multiplicative_certificate(values, upto)
-
-
-def test_extend_resumes_the_recurrence():
-    full = sigma_table(2000)
-    for n0 in (1, 2, 5, 7, 100, 1999, 2000):
-        assert extend_table(sigma_table(n0), 2000).values == full.values
-    with pytest.raises(ValueError):
-        extend_table(full, 1999)
 
 
 def test_table_examples():
