@@ -53,6 +53,12 @@ def _first_difference(got: Sequence, want: Sequence) -> int:
     return next(i for i in range(max(len(got), len(want))) if got[i : i + 1] != want[i : i + 1])
 
 
+def _first_wrong(checks: list[tuple[str, object, object]]) -> str | None:
+    """"<name> = <got> != <want>" for the first (name, got, want) with
+    got != want, or None if every check holds."""
+    return next((f"{name} = {got} != {want}" for name, got, want in checks if got != want), None)
+
+
 def _signed_chain(terms: list[int]) -> str:
     return str(terms[0]) + "".join(f"+{t}" if t > 0 else str(t) for t in terms[1:])
 
@@ -154,15 +160,16 @@ def check_basis_cancellation() -> CriterionResult:
     five = verify_basis_cancellation(5, period_profile(5))[0]
     (one,) = verify_basis_cancellation(1, period_profile(1))
     elapsed = time.perf_counter() - start
-    ok = (
-        five.partial_sums == (1, 2, 1, 0, -1, -2, -1, 0)
-        and five.signed_sum == 0
-        and five.basis_sum == 0
-        and one.partial_sums == (1, 0, -1, 0)
-        and one.passed
-    )
-    detail = f"m=5,r=0 partial sums {list(five.partial_sums)}; m=1 partial sums {list(one.partial_sums)}"
-    return CriterionResult(7, "basis-cancellation", ok, detail, elapsed)
+    wrong = _first_wrong([
+        ("m=5,r=0 partial sums", list(five.partial_sums), [1, 2, 1, 0, -1, -2, -1, 0]),
+        ("m=5,r=0 signed sum", five.signed_sum, 0),
+        ("m=5,r=0 basis sum", five.basis_sum, 0),
+        ("m=1 partial sums", list(one.partial_sums), [1, 0, -1, 0]),
+        ("m=1 signed sum", one.signed_sum, 0),
+        ("m=1 basis sum", one.basis_sum, 0),
+    ])
+    detail = wrong or f"m=5,r=0 partial sums {list(five.partial_sums)}; m=1 partial sums {list(one.partial_sums)}"
+    return CriterionResult(7, "basis-cancellation", wrong is None, detail, elapsed)
 
 
 def check_euler_summation_regressions() -> CriterionResult:
@@ -178,25 +185,27 @@ def check_euler_summation_regressions() -> CriterionResult:
     two = pentagonal_power_sum(2)
     leibniz = euler_sum_alternating([1] * 8)
     elapsed = time.perf_counter() - start
-    ok = (
-        linear[1] == (4, 7, 10, 13, 16, 19)
-        and linear[2] == (3, 3, 3, 3, 3)
-        and linear_plus[1] == (5, 8, 11, 14, 17, 20)
-        and squares[2] == (95, 221, 401, 635, 923)
-        and squares[4] == (54, 54, 54)
-        and squares_plus[3] == (144, 198, 252, 306)
-        and squares_plus[4] == (54, 54, 54)
-        and (one.s, one.t) == (Fraction(1, 8), Fraction(-1, 8))
-        and (two.s, two.t) == (Fraction(3, 16), Fraction(-3, 16))
-        and euler_sum_alternating([v * v for v in minus]) == Fraction(3, 16)
-        and euler_sum_alternating([v * v for v in plus]) == Fraction(-3, 16)
-        and leibniz == Fraction(1, 2)
-    )
-    detail = (
+    wrong = _first_wrong([
+        ("difference row 1 of the minus values", linear[1], (4, 7, 10, 13, 16, 19)),
+        ("difference row 2 of the minus values", linear[2], (3, 3, 3, 3, 3)),
+        ("difference row 1 of the plus values", linear_plus[1], (5, 8, 11, 14, 17, 20)),
+        ("difference row 2 of the minus squares", squares[2], (95, 221, 401, 635, 923)),
+        ("difference row 4 of the minus squares", squares[4], (54, 54, 54)),
+        ("difference row 3 of the plus squares", squares_plus[3], (144, 198, 252, 306)),
+        ("difference row 4 of the plus squares", squares_plus[4], (54, 54, 54)),
+        ("s at exponent 1", one.s, Fraction(1, 8)),
+        ("t at exponent 1", one.t, Fraction(-1, 8)),
+        ("s at exponent 2", two.s, Fraction(3, 16)),
+        ("t at exponent 2", two.t, Fraction(-3, 16)),
+        ("Euler sum of the minus squares", euler_sum_alternating([v * v for v in minus]), Fraction(3, 16)),
+        ("Euler sum of the plus squares", euler_sum_alternating([v * v for v in plus]), Fraction(-3, 16)),
+        ("alternating units sum", leibniz, Fraction(1, 2)),
+    ])
+    detail = wrong or (
         f"difference rows reproduced; s,t = ({one.s},{one.t}) at exponent 1, "
         f"({two.s},{two.t}) at exponent 2; alternating units sum to {leibniz}"
     )
-    return CriterionResult(8, "euler-summation-regressions", ok, detail, elapsed)
+    return CriterionResult(8, "euler-summation-regressions", wrong is None, detail, elapsed)
 
 
 def check_power_sum_identity() -> CriterionResult:

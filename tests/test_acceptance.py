@@ -13,9 +13,11 @@ import pytest
 
 from pentafold import acceptance, summation
 from pentafold import (
+    Branch,
     DenseSeries,
     euler_product,
     euler_sum_alternating,
+    pentagonal,
     pentagonal_power_sum,
     power_sums,
     recurrence_terms,
@@ -153,9 +155,10 @@ def sign_flipped(block: list, position: int) -> list:
 
 
 # Criterion, the layer function it calls, the argument at which the fault is
-# planted, the fault, and the detail that must name it.  The arguments avoid
-# what criteria 5, 7 and 8 read: euler_product(200), period_profile(1) and
-# (5), pentagonal_power_sum(1) and (2).
+# planted, the fault, and the detail that must name it.  No fault reaches what
+# another criterion reads: euler_product(200) (criterion 5), period_profile(1)
+# and (5) (criterion 7), pentagonal_power_sum(1) and (2) (criterion 8), and
+# every total (criterion 9), so criterion 8's fault at exponent 2 changes s.
 PLANTED_FAULTS = {
     "product-degree-500": (
         4, "euler_product", 1000, lambda series: DenseSeries((*series.coeffs[:500], 1, *series.coeffs[501:])),
@@ -176,6 +179,28 @@ PLANTED_FAULTS = {
     "period-m7": (
         6, "verify_period_cancellation", 7, lambda report: report._replace(violations=("planted",)),
         "period cancellation failed for m = [7]",
+    ),
+    "basis-m5": (
+        7, "verify_basis_cancellation", 5,
+        lambda reports: [reports[0]._replace(partial_sums=(1, 2, 1, 0, -1, -2, -1, 1)), *reports[1:]],
+        "m=5,r=0 partial sums = [1, 2, 1, 0, -1, -2, -1, 1] != [1, 2, 1, 0, -1, -2, -1, 0]",
+    ),
+    "basis-m1": (
+        7, "verify_basis_cancellation", 1, lambda reports: [reports[0]._replace(basis_sum=1)],
+        "m=1 basis sum = 1 != 0",
+    ),
+    "difference-row-plus": (
+        8, "difference_table", [pentagonal(k, Branch.PLUS) for k in range(1, 8)],
+        lambda rows: (rows[0], (*rows[1][:-1], rows[1][-1] + 1), *rows[2:]),
+        "difference row 1 of the plus values = (5, 8, 11, 14, 17, 21) != (5, 8, 11, 14, 17, 20)",
+    ),
+    "split-exponent-2": (
+        8, "pentagonal_power_sum", 2, lambda split: split._replace(s=split.s + 1),
+        "s at exponent 2 = 19/16 != 3/16",
+    ),
+    "alternating-units": (
+        8, "euler_sum_alternating", [1] * 8, lambda total: total + 1,
+        "alternating units sum = 3/2 != 1/2",
     ),
     "total-exponent-7": (
         9, "pentagonal_power_sum", 7, lambda split: split._replace(total=split.total + 1),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,37 @@ def test_verify_pnt_fails_when_the_fold_is_wrong(capsys, monkeypatch):
     assert "60,fold_multiply_vs_product,FAIL" in out
     assert "60,product_vs_sparse_series,PASS" in out
     assert code == 1
+
+
+@pytest.mark.parametrize("fmt, out", [("csv", "2,3/16,-3/16,1/2\n"), ("table", "s=3/16 t=-3/16 total=1/2\n")])
+def test_sum_exits_one_on_a_planted_nonzero_total(capsys, monkeypatch, fmt, out):
+    # sum has no verdict column: the exit code is its verdict, and the row
+    # shows the total that failed
+    from pentafold import summation
+
+    def planted(exponent):
+        return split(exponent)._replace(total=Fraction(1, 2))
+
+    split = summation.pentagonal_power_sum
+    monkeypatch.setattr(summation, "pentagonal_power_sum", planted)
+    assert run_cli(capsys, "sum", "--lambda", "2", "--format", fmt) == (1, out)
+
+
+def test_verify_powersums_fails_the_row_of_a_planted_power_sum_only(capsys, monkeypatch):
+    from pentafold import qseries
+
+    def planted(series, count):
+        p = power_sums(series, count)
+        p[6] += 1  # p_7
+        return p
+
+    power_sums = qseries.power_sums
+    monkeypatch.setattr(qseries, "power_sums", planted)
+    code, out = run_cli(capsys, "verify-powersums", "--count", "12", "--format", "csv")
+    rows = out.splitlines()
+    assert code == 1
+    assert [row for row in rows if row.endswith("FAIL")] == ["7,-1,9,8,FAIL"]
+    assert len(rows) == 12
 
 
 @pytest.mark.parametrize("periods", ["1", "5"])
