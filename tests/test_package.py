@@ -26,8 +26,8 @@ PUBLIC = {
         "iter_terms", "pentagonal", "term_stream",
     ],
     "sigma": [
-        "SigmaTable", "load_table", "recurrence_terms", "save_table", "sigma_brute",
-        "sigma_recurrence", "sigma_table",
+        "SigmaTable", "first_wrong_sigma", "load_table", "recurrence_terms", "save_table",
+        "sigma_brute", "sigma_recurrence", "sigma_table",
     ],
     "qseries": [
         "DenseSeries", "elementary_symmetric", "euler_product", "fold_product",
@@ -195,6 +195,14 @@ def test_pentagonal_stays_the_function_after_every_submodule_loads():
 
 
 def test_dir_lists_the_public_surface():
+    # PUBLIC is the surface exactly: the eager pentagonal names and the lazy
+    # ones, module by module, so a name dropped or added anywhere fails here
+    eager = {
+        name for name, value in vars(pentafold).items()
+        if getattr(value, "__module__", None) == "pentafold.pentagonal"
+    }
+    lazy = {module: set(names) for module, names in pentafold._LAZY.items()}
+    assert {module: set(names) for module, names in PUBLIC.items()} == {"pentagonal": eager, **lazy}
     listed = set(dir(pentafold))
     assert {name for names in PUBLIC.values() for name in names} <= listed
     assert set(SUBMODULES) <= listed
