@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .pentagonal import differences, interpolated_sequence, is_pentagonal, term_stream
 
@@ -38,50 +40,55 @@ NON_NEGATIVE = _ranged(int, lambda v: v >= 0, "non-negative")
 RADIUS = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
-def _json_array(rows: list[tuple], columns: list[str]) -> str:
-    """json.dumps([dict(zip(columns, row)) for row in rows], indent=2) byte
-    for byte, for rows of scalar values.  That call runs the pure-Python
-    encoder; this one quotes the keys once into a per-row template and
-    encodes whole columns at C level: a column of exact ints is left as is
-    (%s prints an int as json does), a column of strings goes through
-    encode_basestring_ascii, and any other column is encoded value by value,
-    with json.dumps for floats, bools and None."""
-    if not rows:
-        return "[]"
-    import json
-    from json.encoder import encode_basestring_ascii as quote
-
-    encoders = {str: quote, int: int.__repr__, float: json.dumps}  # anything else: json.dumps
-
-    def encode(column: tuple):
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            return column
-        if kinds == {str}:
-            return map(quote, column)
-        return [encoders.get(type(value), json.dumps)(value) for value in column]
-
-    fields = ",\n    ".join(quote(name).replace("%", "%%") + ": %s" for name in columns)
-    template = "  {\n    " + fields + "\n  }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*map(encode, zip(*rows))))) + "\n]"
-
-
-def render(rows: list[tuple], columns: list[str], fmt: str) -> str:
-    """Rows, each a tuple of values in the order of the (one or more)
-    columns, to text: an aligned table, headerless CSV, or a JSON array of
-    objects.  Each format fills one line template per row with %, so the
-    per-row work runs at C level."""
-    if fmt == "json":
-        return _json_array(rows, columns)
+def render(rows: Iterable[tuple], columns: list[str], fmt: str) -> str:
+    """Rows, any iterable of tuples in column order, to text: an aligned
+    table, headerless CSV, or exactly json.dumps([dict(zip(columns, row)) for
+    row in rows], indent=2).  The rows are flattened once, and the whole output
+    is one % over the row template repeated once per row.  CSV fills %s, which
+    calls str on each cell.  For JSON and the table each column is a slice of
+    the flat list: a column of exact ints (never bool) prints with %d, and any
+    other is made text once (encode_basestring_ascii or json.dumps for JSON,
+    str for the table)."""
+    width = len(columns)
+    flat = [*chain.from_iterable(rows)]
+    count = len(flat) // width
     if fmt == "csv":
-        return "\n".join(map(",".join(["%s"] * len(columns)).__mod__, rows))
-    text = [list(map(str, column)) for column in zip(*rows)] or [[]] * len(columns)
-    widths = [max(len(name), max(map(len, column), default=0)) for name, column in zip(columns, text)]
-    line = "  ".join(f"%-{width}s" for width in widths)
-    return "\n".join(map(str.rstrip, [line % tuple(columns), *map(line.__mod__, zip(*text))]))
+        return "\n".join([",".join(["%s"] * width)] * count) % tuple(flat)
+    kinds = [set(map(type, flat[c::width])) for c in range(width)]
+    ints = [kind == {int} for kind in kinds]
+    if fmt == "json":
+        if not count:
+            return "[]"
+        import json
+        from json.encoder import encode_basestring_ascii as quote
+
+        for c, kind in enumerate(kinds):
+            if kind != {int}:
+                flat[c::width] = map(quote if kind == {str} else json.dumps, flat[c::width])
+        keys = (quote(name).replace("%", "%%") for name in columns)
+        fields = ",\n    ".join(key + (": %d" if i else ": %s") for key, i in zip(keys, ints))
+        return "[\n" + ",\n".join(["  {\n    " + fields + "\n  }"] * count) % tuple(flat) + "\n]"
+    widths, text = [], []
+    for c, name in enumerate(columns):
+        if ints[c]:  # the longest numeral is the largest or the most negative
+            column = flat[c::width]
+            widths.append(max(len(name), len(str(max(column))), len(str(min(column)))))
+        else:
+            flat[c::width] = column = list(map(str, flat[c::width]))
+            text += column
+            widths.append(max(len(name), max(map(len, column), default=0)))
+    head = "  ".join(map(str.ljust, columns, widths)).rstrip()
+    if not count:
+        return head
+    line = "  ".join(f"%-{pad}d" if i else f"%-{pad}s" for pad, i in zip([*widths[:-1], ""], ints))  # last: unpadded
+    if ints[-1]:  # every row ends in a digit, never in a blank
+        return head + "\n" + "\n".join([line] * count) % tuple(flat)
+    held = set("".join(text))  # rows lose their trailing blanks, so each ends in a mark no cell holds
+    mark = next(c for c in chain("\n", map(chr, range(0xE000, 0x110000))) if c not in held)
+    return "\n".join([head, *map(str.rstrip, (mark.join([line] * count) % tuple(flat)).split(mark))])
 
 
-def cmd_seq(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_seq(args) -> tuple[Iterable[tuple], list[str], bool]:
     if args.is_pentagonal is not None:
         hit = is_pentagonal(args.is_pentagonal)
         k, branch = (hit[0], hit[1].value) if hit else ("-", "-")
@@ -98,7 +105,7 @@ def cmd_seq(args) -> tuple[list[tuple], list[str], bool]:
     return rows, ["position", "k", "branch", "value", "sign"], True
 
 
-def cmd_sigma(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_sigma(args) -> tuple[Iterable[tuple], list[str], bool]:
     """The cache serves the rows it holds, certified first; a short one is
     certified whole, then built again by --method and written back."""
     from pathlib import Path
@@ -112,10 +119,10 @@ def cmd_sigma(args) -> tuple[list[tuple], list[str], bool]:
         table = sigma_table(args.max, args.method)
         if cache is not None:
             save_table(table, cache)
-    return list(zip(range(1, args.max + 1), table.values[1 : args.max + 1])), ["n", "sigma"], True
+    return zip(range(1, args.max + 1), table.values[1 : args.max + 1]), ["n", "sigma"], True
 
 
-def cmd_verify_pnt(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_verify_pnt(args) -> tuple[Iterable[tuple], list[str], bool]:
     from .qseries import euler_product, fold_product, pentagonal_series
 
     product = euler_product(args.degree)
@@ -130,7 +137,7 @@ def cmd_verify_pnt(args) -> tuple[list[tuple], list[str], bool]:
     return rows, ["degree", "check", "verdict"], all(ok for _, ok in checks)
 
 
-def cmd_verify_periods(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_verify_periods(args) -> tuple[Iterable[tuple], list[str], bool]:
     from .cyclotomic import (
         partial_sum_aggregate,
         period_profile,
@@ -156,7 +163,7 @@ def cmd_verify_periods(args) -> tuple[list[tuple], list[str], bool]:
     return rows, ["m", "r", "period_length", "signed_sum", "basis_sum", "verdict"], all_ok
 
 
-def cmd_verify_powersums(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_verify_powersums(args) -> tuple[Iterable[tuple], list[str], bool]:
     from .qseries import elementary_symmetric, euler_product, power_sums
     from .sigma import sigma_table
 
@@ -171,7 +178,7 @@ def cmd_verify_powersums(args) -> tuple[list[tuple], list[str], bool]:
     return rows, ["k", "elementary", "power_sum", "divisor_sum", "verdict"], p == sigma[1:]
 
 
-def cmd_sum(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_sum(args) -> tuple[Iterable[tuple], list[str], bool]:
     from .summation import pentagonal_power_sum
 
     split = pentagonal_power_sum(args.exponent)
@@ -179,7 +186,7 @@ def cmd_sum(args) -> tuple[list[tuple], list[str], bool]:
     return [row], ["lambda", "s", "t", "total"], split.total == 0
 
 
-def cmd_abel(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_abel(args) -> tuple[Iterable[tuple], list[str], bool]:
     from .summation import abel_decay
 
     near, far, ok = abel_decay(
@@ -190,7 +197,7 @@ def cmd_abel(args) -> tuple[list[tuple], list[str], bool]:
     return [row], ["lambda", "m", "point", "rho", "abs_value", "verdict", "baseline_abs"], ok
 
 
-def cmd_report(args) -> tuple[list[tuple], list[str], bool]:
+def cmd_report(args) -> tuple[Iterable[tuple], list[str], bool]:
     from .acceptance import run_all
 
     results = run_all()

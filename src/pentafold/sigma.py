@@ -119,16 +119,19 @@ def first_wrong_sigma(values: list[int], upto: int) -> int | None:
 
 
 def save_table(table: SigmaTable, path: str | Path) -> None:
-    """Write one "n,sigma" record per line, ASCII decimal, no header.
+    """Write one "n,sigma" record per line, ASCII decimal, no header, by one %.
 
     The records go to a temporary file beside the target, which then replaces
     it in one step, so a write that fails part-way leaves the old file intact.
     """
+    flat = [0] * (2 * table.max_n)
+    flat[0::2] = range(1, table.max_n + 1)
+    flat[1::2] = table.values[1:]
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with partial.open("w", encoding="ascii") as handle:
-            handle.writelines(f"{n},{table.values[n]}\n" for n in range(1, table.max_n + 1))
+            handle.write("%d,%d\n" * table.max_n % tuple(flat))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

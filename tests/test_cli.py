@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentafold import save_table, sigma_table
-from pentafold.cli import HANDLERS, build_parser, main, render
+from pentafold.cli import FORMATS, HANDLERS, build_parser, main, render
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -590,7 +590,8 @@ def test_sigma_json_equals_the_library_table(n, method, cache, data):
 def test_json_render_matches_the_standard_encoder_on_every_command(argv):
     args = build_parser().parse_args(argv)
     rows, columns, _ = HANDLERS[args.command](args)
-    assert all(type(row) is tuple and len(row) == len(columns) for row in rows)
+    rows = list(rows)  # a handler may hand over a one-shot iterator
+    assert rows and all(type(row) is tuple and len(row) == len(columns) for row in rows)
     assert render(rows, columns, "json") == json.dumps([dict(zip(columns, r)) for r in rows], indent=2)
 
 
@@ -640,6 +641,28 @@ def dict_render(rows: list[dict], columns: list[str], fmt: str) -> str:
 def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
     rows, columns = table
     assert render(rows, columns, fmt) == dict_render([dict(zip(columns, r)) for r in rows], columns, fmt)
+
+
+# Fixed tables past the six rows that tables() draws: a long int table, the
+# widest and most negative ints, bools (printed as True/False, never through
+# %d), and a last text column with trailing blanks, empty cells and newlines.
+LONG_TABLES = {
+    "sigma_brute_5000": (list(zip(range(1, 5001), sigma_table(5000, "brute").values[1:])), ["n", "sigma"]),
+    "int_extremes": ([(-(10**60), 7), (10**60, -3), (0, -12345), (5, 10**60)], ["a", "b"]),
+    "bools": ([(True, 1, False), (False, True, True), (True, -2, False)], ["flag", "mixed", "last"]),
+    "last_text": ([(1, "ab", "x "), (-22, "a", ""), (3, "", "\n"), (4, "a \n", "b\n c ")], ["n", "mid", "text"]),
+    "empty": ([], ["n", "sigma"]),
+}
+
+
+@pytest.mark.parametrize("feed", [list, iter])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", LONG_TABLES)
+def test_render_matches_the_references_on_long_and_edge_tables(case, fmt, feed):
+    rows, columns = LONG_TABLES[case]
+    dicts = [dict(zip(columns, row)) for row in rows]
+    want = json.dumps(dicts, indent=2) if fmt == "json" else dict_render(dicts, columns, fmt)
+    assert render(feed(rows), columns, fmt) == want
 
 
 @pytest.mark.parametrize(

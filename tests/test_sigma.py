@@ -279,6 +279,12 @@ def test_save_and_load_roundtrip(tmp_path):
     assert loaded.values == table.values
 
 
+def test_save_table_writes_the_golden_records_byte_for_byte(tmp_path):
+    path = tmp_path / "sigma.csv"
+    save_table(sigma_table(300), path)
+    assert path.read_bytes() == (Path(__file__).parent / "golden" / "sigma_300.csv").read_bytes()
+
+
 class FullDisk:
     """A writable file that takes `room` more characters, then fails the way
     a full disk does, leaving what fitted on disk."""
@@ -292,10 +298,6 @@ class FullDisk:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.room -= len(text)
         return self.handle.write(text)
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
 
     def __enter__(self):
         return self
