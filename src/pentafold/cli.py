@@ -10,6 +10,7 @@ module's attribute at call time, never a copy taken at start-up.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import chain
@@ -301,5 +302,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if passed else 1
 
 
+def run() -> None:
+    """Process entry point: exit with main's code, then freeze every tracked object so that the
+    interpreter's final collection skips them; no pentafold object needs a __del__ at exit."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

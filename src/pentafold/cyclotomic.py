@@ -58,16 +58,20 @@ def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport
     block_length = 4 * m
     profile = list(islice(iter_profile(m), block_length * periods))
     base = profile[:block_length]
-    violations: list[str] = []
-    for j in range(periods):
-        block = profile[j * block_length : (j + 1) * block_length]
+    def residue_sums(block: list[tuple[int, int]]) -> list[int]:
         sums = [0] * m
         for sign, residue in block:
             sums[residue] += sign
-        for residue, total in enumerate(sums):
+        return sums
+    base_sums = residue_sums(base)
+    violations: list[str] = []
+    for j in range(periods):
+        block = profile[j * block_length : (j + 1) * block_length]
+        repeats = block == base  # then its sums are block 0's
+        for residue, total in enumerate(base_sums if repeats else residue_sums(block)):
             if total:
                 violations.append(f"block {j}: residue {residue} sums to {total}")
-        if block != base:
+        if not repeats:
             for offset, (got, want) in enumerate(zip(block, base)):
                 if got != want:
                     violations.append(

@@ -63,16 +63,14 @@ def difference_table(seq: Sequence) -> tuple[tuple, ...]:
 
 
 def euler_sum_alternating(seq: Sequence) -> Fraction:
-    """Exact value assigned to seq[0] - seq[1] + seq[2] - ...: the leading
-    entry of difference row d contributes (-1)**d / 2**(d+1), and the sum is
-    finite because the rows vanish."""
+    """Exact value assigned to seq[0] - seq[1] + seq[2] - ..., seq holding
+    integers: the leading entry of difference row d contributes
+    (-1)**d / 2**(d+1), and the sum is finite because the rows vanish."""
     from fractions import Fraction  # imported here so the damped sums run without it
 
-    total = Fraction(0)
-    for d, row in enumerate(difference_table(seq)):
-        term = Fraction(row[0]) / 2 ** (d + 1)
-        total += -term if d % 2 else term
-    return total
+    rows = difference_table(seq)  # every term over the common denominator 2**len(rows)
+    total = sum((-row[0] if d % 2 else row[0]) << (len(rows) - 1 - d) for d, row in enumerate(rows))
+    return Fraction(total, 1 << len(rows))
 
 
 class PowerSumSplit(NamedTuple):
@@ -121,6 +119,11 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     actually bounds the damped tail.  Raises TruncationInfeasibleError, naming
     the needed cap, when the answer exceeds HARD_EXPONENT_CAP.
     """
+    return _exponent_cap(exponent, rho, tolerance)
+
+
+@lru_cache(maxsize=16)  # a report asks 48 times for 4 distinct inputs
+def _exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     _check_tolerance(tolerance)
@@ -239,7 +242,7 @@ def _damped_classes(
 _GUARD_BITS = 20  # absorbs the truncation errors below, a few units per series term
 
 
-@lru_cache(maxsize=32)  # a report asks 192 times for 11 distinct widths
+@lru_cache(maxsize=32)  # a report asks 66 times for 11 distinct widths
 def _pi_fixed(bits: int) -> int:
     """pi * 2**bits to within 2 units, by Machin's pi/4 = 4 atan(1/5) - atan(1/239)."""
     one = 1 << (bits + _GUARD_BITS)
@@ -266,6 +269,11 @@ def root_of_unity_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
     -i come out exact, and the rest is the Taylor series of exp(sqrt(-1)*phi)
     for phi in [0, pi/2), in fixed point with guard bits.
     """
+    return _root_fixed(m, j, bits)
+
+
+@lru_cache(maxsize=256)  # a report asks 448 times for 170 distinct roots
+def _root_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     quarter, rest = divmod(4 * (j % m), m)  # 2j*pi/m = quarter*pi/2 + (pi/2)*rest/m

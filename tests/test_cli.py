@@ -1,5 +1,6 @@
 """CLI behavior: pinned outputs, formats, cache handling, exit codes."""
 
+import gc
 import io
 import json
 import os
@@ -506,6 +507,61 @@ def test_a_closed_pipe_exits_two_with_one_line():
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err
     assert err.splitlines() == ["pentafold: sigma: output closed before it was all written"]
+
+
+def run_module(*argv: str, program: tuple[str, ...] = ("-m", "pentafold")) -> subprocess.CompletedProcess:
+    """pentafold in a fresh interpreter, as `python -m pentafold` unless program says otherwise."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *program, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_fresh_process_prints_what_main_prints(capsys, fmt):
+    proc = run_module("seq", "--count", "5", "--format", fmt)
+    code, out = run_cli(capsys, "seq", "--count", "5", "--format", fmt)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert code == 0
+
+
+def test_a_fresh_process_prints_the_help_golden():
+    proc = run_module("--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "help.txt").read_text(encoding="ascii")
+
+
+def test_a_fresh_process_exits_two_with_argparse_text_on_a_usage_error(capsys):
+    proc = run_module("seq", "--count", "0")
+    with pytest.raises(SystemExit):
+        main(["seq", "--count", "0"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", capsys.readouterr().err)
+    assert proc.stderr.endswith("pentafold seq: error: argument --count: must be positive, got 0\n")
+
+
+# Reports from an atexit handler, which runs after run() has ended, whether it froze anything.
+FREEZE_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+from pentafold.cli import run
+run()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["seq", "--count", "2"], 0), (["--help"], 0), (["seq", "--count", "0"], 2)])
+def test_the_entry_point_freezes_on_every_exit_and_still_runs_atexit(argv, code):
+    proc = run_module(*argv, program=("-c", FREEZE_AT_EXIT))
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "frozen True"
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["seq", "--count", "3"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == before
 
 
 def test_corrupt_cache_is_a_usage_error(tmp_path, capsys):

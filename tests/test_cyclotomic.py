@@ -363,3 +363,8 @@ def test_one_flipped_sign_in_the_stream_is_named_by_the_period_check(monkeypatch
     assert not report.passed
     assert any(v.startswith(f"position {position}:") for v in report.violations), report.violations
     assert all(v.startswith(("block 2:", f"position {position}:")) for v in report.violations)
+    # block 3 repeats block 0 again, so it adds nothing after the block that broke
+    assert verify_period_cancellation(5, 4).violations == (
+        "block 2: residue 2 sums to 2",
+        f"position {position}: profile (1, 2) breaks the block-0 pattern (-1, 2)",
+    )

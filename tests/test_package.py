@@ -76,6 +76,15 @@ def test_start_up_loads_no_layer_and_no_heavy_stdlib(args):
     assert loaded & HEAVY == set()
 
 
+def test_both_ways_of_starting_pentafold_enter_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"pentafold": "pentafold.cli:run"}
+    tree = ast.parse((SRC / "pentafold" / "__main__.py").read_text(encoding="utf-8"))
+    calls = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls == ["run"]
+
+
 def test_seq_loads_only_the_pentagonal_layer():
     loaded = imported("-m", "pentafold", "seq", "--count", "5")
     ours = {name for name in loaded if name.split(".")[0] == "pentafold"}
