@@ -21,9 +21,10 @@ sparse = pentagonal_series(cap)
 
 print(f"Expansion of the product up to degree {cap}:")
 pieces = []
-for degree, coeff in product.nonzero():
-    sign = "-" if coeff < 0 else "+"
-    pieces.append(f"{sign} x^{degree}" if degree else "1")
+for degree, coeff in enumerate(product):
+    if coeff:
+        sign = "-" if coeff < 0 else "+"
+        pieces.append(f"{sign} x^{degree}" if degree else "1")
 print(" ", " ".join(pieces))
 print()
 print("Sparse construction from the term stream gives the same series:", product == sparse)

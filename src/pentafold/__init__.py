@@ -25,7 +25,6 @@ from .pentagonal import (
 
 _LAZY = {
     "sigma": (
-        "SigmaTable",
         "first_wrong_sigma",
         "load_table",
         "recurrence_terms",
@@ -35,7 +34,6 @@ _LAZY = {
         "sigma_table",
     ),
     "qseries": (
-        "DenseSeries",
         "elementary_symmetric",
         "euler_product",
         "fold_product",

@@ -107,8 +107,8 @@ def cmd_seq(args) -> tuple[Iterable[tuple], list[str], bool]:
 
 
 def cmd_sigma(args) -> tuple[Iterable[tuple], list[str], bool]:
-    """The cache serves the rows it holds, certified first; a short one is
-    certified whole, then built again by --method and written back."""
+    """The cached list serves the rows it holds, certified first; a short one
+    is certified whole, then built again by --method and written back."""
     from pathlib import Path
 
     from .sigma import load_table, save_table, sigma_table
@@ -116,11 +116,11 @@ def cmd_sigma(args) -> tuple[Iterable[tuple], list[str], bool]:
     path = os.environ.get(CACHE_ENV_VAR) or args.cache  # the variable overrides the flag
     cache = Path(path) if path else None
     table = load_table(cache, rows=args.max) if cache is not None and cache.exists() else None
-    if table is None or table.max_n < args.max:
+    if table is None or len(table) <= args.max:
         table = sigma_table(args.max, args.method)
         if cache is not None:
             save_table(table, cache)
-    return zip(range(1, args.max + 1), table.values[1 : args.max + 1]), ["n", "sigma"], True
+    return zip(range(1, args.max + 1), table[1 : args.max + 1]), ["n", "sigma"], True
 
 
 def cmd_verify_pnt(args) -> tuple[Iterable[tuple], list[str], bool]:
@@ -129,7 +129,7 @@ def cmd_verify_pnt(args) -> tuple[Iterable[tuple], list[str], bool]:
     product = euler_product(args.degree)
     sparse = pentagonal_series(args.degree)
     if args.dump:
-        return product.nonzero(), ["degree", "coefficient"], product == sparse
+        return [(d, c) for d, c in enumerate(product) if c], ["degree", "coefficient"], product == sparse
     checks = [
         ("product_vs_sparse_series", product == sparse),
         ("fold_multiply_vs_product", fold_product(args.degree) == product),
@@ -171,7 +171,7 @@ def cmd_verify_powersums(args) -> tuple[Iterable[tuple], list[str], bool]:
     series = euler_product(args.count)
     e = elementary_symmetric(series, args.count)
     p = power_sums(series, args.count)
-    sigma = sigma_table(args.count, "brute").values
+    sigma = sigma_table(args.count, "brute")
     rows = [
         (k, e[k - 1], p[k - 1], sigma[k], "PASS" if p[k - 1] == sigma[k] else "FAIL")
         for k in range(1, args.count + 1)
@@ -249,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=RADIUS, default=0.99, help="damping radius")
     p.add_argument("--baseline", type=RADIUS, default=0.9, help="radius to compare decay against")
     p.add_argument("--tolerance", type=float, default=1e-9, help="truncation tolerance")
+    p.set_defaults(usage_error=p.error)  # --r is checked against --m once both are parsed
 
     sub.add_parser("report", help="run the full acceptance suite")
 
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "abel" and args.residue is not None and args.residue >= args.m:
-        parser.error("--r must lie in 0..m-1")
+        args.usage_error(f"argument --r: must lie in 0..{args.m - 1}, got {args.residue}")
     try:
         rows, columns, passed = HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

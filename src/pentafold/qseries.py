@@ -1,6 +1,6 @@
-"""Truncated power series with exact integer coefficients: the product
-(1-x)(1-x^2)(1-x^3)... against its sparse pentagonal expansion, plus the
-symmetric functions and power sums of the reciprocal roots."""
+"""Truncated power series, each a tuple of exact integer coefficients from x**0
+up: the product (1-x)(1-x^2)(1-x^3)... against its sparse pentagonal expansion,
+plus the symmetric functions and power sums of the reciprocal roots."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import struct
 from bisect import bisect_left
 from itertools import compress
 from operator import rshift, sub
-from typing import NamedTuple
 
 from .pentagonal import signed_values
 
@@ -17,31 +16,7 @@ from .pentagonal import signed_values
 BLOCK = 64
 
 
-class _DenseSeriesFields(NamedTuple):
-    coeffs: tuple[int, ...]
-
-
-class DenseSeries(_DenseSeriesFields):
-    """coeffs[d] is the coefficient of x**d, for 0 <= d <= degree_cap."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs: tuple[int, ...]) -> DenseSeries:
-        if not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-        return super().__new__(cls, coeffs)
-
-    @property
-    def degree_cap(self) -> int:
-        return len(self.coeffs) - 1
-
-    def nonzero(self) -> list[tuple[int, int]]:
-        """(degree, coefficient) pairs for the nonzero coefficients."""
-        coeffs = self.coeffs
-        return [(d, coeffs[d]) for d in compress(range(len(coeffs)), coeffs)]
-
-
-def fold_product(degree_cap: int) -> DenseSeries:
+def fold_product(degree_cap: int) -> tuple[int, ...]:
     """Expand the product of (1 - x^k) for k = 1..degree_cap one factor at a
     time, as Euler did: each factor is one C-level slice pass over the kept
     coefficients, O(cap**2) in all.  euler_product computes the same series
@@ -53,7 +28,7 @@ def fold_product(degree_cap: int) -> DenseSeries:
         # slice assignment builds the right side into a list before it writes,
         # so the pass reads every coefficient as it stood before this factor
         coeffs[k:] = map(sub, coeffs[k:], coeffs)
-    return DenseSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _slot_bits(degree_cap: int) -> int:
@@ -63,7 +38,7 @@ def _slot_bits(degree_cap: int) -> int:
     return 8 * math.ceil((math.pi * math.sqrt(degree_cap / 3) / math.log(2) + 2) / 8)
 
 
-def euler_product(degree_cap: int) -> DenseSeries:
+def euler_product(degree_cap: int) -> tuple[int, ...]:
     """Expand the product of (1 - x^k) for k = 1..degree_cap, truncated there.
 
     Factors with k beyond the cap cannot touch the kept degrees, so the result
@@ -108,12 +83,12 @@ def euler_product(degree_cap: int) -> DenseSeries:
     bias = 1 << w - 1
     data = ((x + bias * ones) & full).to_bytes(w * slots // 8, "little")
     step = w // 8
-    return DenseSeries(tuple([
+    return tuple([
         int.from_bytes(data[i : i + step], "little") - bias for i in range(0, len(data), step)
-    ]))
+    ])
 
 
-def pentagonal_series(degree_cap: int) -> DenseSeries:
+def pentagonal_series(degree_cap: int) -> tuple[int, ...]:
     """Sparse construction 1 - x - x^2 + x^5 + x^7 - x^12 - ... up to the cap."""
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
@@ -121,28 +96,30 @@ def pentagonal_series(degree_cap: int) -> DenseSeries:
     coeffs[0] = 1
     for value, sign in signed_values(degree_cap):
         coeffs[value] = sign
-    return DenseSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def _require_monic(series: DenseSeries, count: int) -> None:
+def _require_monic(series: tuple[int, ...], count: int) -> None:
+    if not series:
+        raise ValueError("a series needs at least its constant coefficient")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if count > series.degree_cap:
+    if count >= len(series):
         raise ValueError(
-            f"need coefficients up to degree {count}, series stops at {series.degree_cap}"
+            f"need coefficients up to degree {count}, series stops at {len(series) - 1}"
         )
-    if series.coeffs[0] != 1:
-        raise ValueError(f"constant coefficient must be 1, got {series.coeffs[0]}")
+    if series[0] != 1:
+        raise ValueError(f"constant coefficient must be 1, got {series[0]}")
 
 
-def elementary_symmetric(series: DenseSeries, count: int) -> list[int]:
+def elementary_symmetric(series: tuple[int, ...], count: int) -> list[int]:
     """e_1..e_count of the reciprocal roots of the series read as a product of
     (1 - x/root) factors: e_k = (-1)**k times the coefficient of x**k."""
     _require_monic(series, count)
-    return [-c if k % 2 else c for k, c in enumerate(series.coeffs[1 : count + 1], start=1)]
+    return [-c if k % 2 else c for k, c in enumerate(series[1 : count + 1], start=1)]
 
 
-def power_sums(series: DenseSeries, count: int) -> list[int]:
+def power_sums(series: tuple[int, ...], count: int) -> list[int]:
     """p_1..p_count of the reciprocal roots, exact integers throughout.
 
     Newton's identities in coefficient form, p_k = -k*a_k - sum over j < k of
@@ -167,8 +144,8 @@ def power_sums(series: DenseSeries, count: int) -> list[int]:
     solved again.
     """
     _require_monic(series, count)
-    support = [(j, c) for j, c in series.nonzero() if j <= count]
-    mass, top = sum(map(abs, series.coeffs[: count + 1])), max([j * abs(c) for j, c in support])
+    support = [(j, series[j]) for j in compress(range(count + 1), series)]  # nonzero a_j, j <= count
+    mass, top = sum(map(abs, series[: count + 1])), max([j * abs(c) for j, c in support])
     by_value: dict[int, list[int]] = {}
     for j, c in support[1:]:
         by_value.setdefault(c, []).append(j)

@@ -19,19 +19,6 @@ from .pentagonal import signed_values
 _WELL_FORMED = re.compile(rb"(?:[0-9]+,[0-9]+\n)*")
 
 
-class SigmaTable:
-    """sigma(1..max_n), where sigma(n) sums all divisors of n, n included."""
-
-    def __init__(self, values: list[int]) -> None:
-        self.max_n = len(values) - 1
-        self.values = values  # values[n] = sigma(n); index 0 is an unused sentinel
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.max_n:
-            raise ValueError(f"table holds sigma(1..{self.max_n}), asked for sigma({n})")
-        return self.values[n]
-
-
 def sigma_brute(n: int) -> int:
     """Sum of all divisors of n by trial division up to sqrt(n): each divisor
     d <= sqrt(n) brings its partner n // d, and a square root, its own
@@ -44,8 +31,9 @@ def sigma_brute(n: int) -> int:
     return total - root if root * root == n else total
 
 
-def recurrence_terms(n: int, table: SigmaTable, boundary_rule: bool = True) -> list[int]:
-    """Signed contributions making up sigma(n) by recurrence, in stream order.
+def recurrence_terms(n: int, table: list[int], boundary_rule: bool = True) -> list[int]:
+    """Signed contributions making up sigma(n) by recurrence, in stream order,
+    read from the list table = [0, sigma(1), ..., sigma(m)], m >= n - 1.
 
     Subtrahends run through 1, 2, 5, 7, 12, 15, ... while n - subtrahend >= 0,
     carrying signs +, +, -, - (the series signs moved across the equation).
@@ -55,6 +43,8 @@ def recurrence_terms(n: int, table: SigmaTable, boundary_rule: bool = True) -> l
     """
     if n < 1:
         raise ValueError(f"recurrence needs n >= 1, got {n}")
+    if len(table) < n:
+        raise ValueError(f"sigma({n}) needs sigma(1..{n - 1}), table holds sigma(1..{len(table) - 1})")
     out: list[int] = []
     for value, sign in signed_values(n):
         rest = n - value
@@ -66,13 +56,13 @@ def recurrence_terms(n: int, table: SigmaTable, boundary_rule: bool = True) -> l
     return out
 
 
-def sigma_recurrence(n: int, table: SigmaTable, boundary_rule: bool = True) -> int:
+def sigma_recurrence(n: int, table: list[int], boundary_rule: bool = True) -> int:
     """sigma(n) from previously known sigma(1..n-1)."""
     return sum(recurrence_terms(n, table, boundary_rule))
 
 
-def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
-    """Fill sigma(1..max_n) by "brute" or by "recurrence".
+def sigma_table(max_n: int, method: str = "recurrence") -> list[int]:
+    """The list [0, sigma(1), ..., sigma(max_n)] by "brute" or by "recurrence".
 
     "brute" is the additive divisor sieve, paired: each d <= sqrt(max_n)
     adds d + q to every multiple d*q with q >= d, one C-level slice pass per
@@ -90,10 +80,10 @@ def sigma_table(max_n: int, method: str = "recurrence") -> SigmaTable:
     if method not in ("brute", "recurrence"):
         raise ValueError(f"method must be 'brute' or 'recurrence', got {method!r}")
     if method == "brute":
-        return SigmaTable(_divisor_sieve(max_n))
+        return _divisor_sieve(max_n)
     from .qseries import pentagonal_series, power_sums
 
-    return SigmaTable([0, *power_sums(pentagonal_series(max_n), max_n)])
+    return [0, *power_sums(pentagonal_series(max_n), max_n)]
 
 
 def _divisor_sieve(max_n: int) -> list[int]:
@@ -118,36 +108,39 @@ def first_wrong_sigma(values: list[int], upto: int) -> int | None:
     return next(n for n in range(1, upto + 1) if n >= len(values) or values[n] != expected[n])
 
 
-def save_table(table: SigmaTable, path: str | Path) -> None:
+def save_table(table: list[int], path: str | Path) -> None:
     """Write one "n,sigma" record per line, ASCII decimal, no header, by one %.
 
     The records go to a temporary file beside the target, which then replaces
-    it in one step, so a write that fails part-way leaves the old file intact.
+    it in one step, so a write that fails part-way leaves the old file intact;
+    an OSError names the target, not the temporary file.
     """
-    flat = [0] * (2 * table.max_n)
-    flat[0::2] = range(1, table.max_n + 1)
-    flat[1::2] = table.values[1:]
+    flat = [0] * (2 * len(table) - 2)
+    flat[0::2] = range(1, len(table))
+    flat[1::2] = table[1:]
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with partial.open("w", encoding="ascii") as handle:
-            handle.write("%d,%d\n" * table.max_n % tuple(flat))
+            handle.write("%d,%d\n" * (len(table) - 1) % tuple(flat))
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
-def load_table(path: str | Path, rows: int | None = None) -> SigmaTable:
-    """Read a table written by save_table and certify its first `rows` rows
-    (all of them by default) with first_wrong_sigma.  Rows past `rows` are
-    parsed but not certified, so serve none of them.  Any other layout, a gap
-    in the numbering and a certified row that is not sigma are errors; the
-    error for a wrong row names n, the stored value and sigma(n)."""
-    table = SigmaTable(_parse_records(path, Path(path).read_bytes()))
-    bad = first_wrong_sigma(table.values, table.max_n if rows is None else min(rows, table.max_n))
+def load_table(path: str | Path, rows: int | None = None) -> list[int]:
+    """Read the list save_table wrote and certify its first `rows` rows (all
+    of them by default) with first_wrong_sigma.  Rows past `rows` are parsed
+    but not certified, so serve none of them.  Any other layout, a gap in the
+    numbering and a certified row that is not sigma are errors; the error for
+    a wrong row names n, the stored value and sigma(n)."""
+    table = _parse_records(path, Path(path).read_bytes())
+    bad = first_wrong_sigma(table, len(table) - 1 if rows is None else min(rows, len(table) - 1))
     if bad is not None:
-        raise ValueError(f"{path}: record n={bad} holds {table.values[bad]}, but sigma({bad}) = {sigma_brute(bad)}")
+        raise ValueError(f"{path}: record n={bad} holds {table[bad]}, but sigma({bad}) = {sigma_brute(bad)}")
     return table
 
 

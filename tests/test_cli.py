@@ -1,5 +1,6 @@
 """CLI behavior: pinned outputs, formats, cache handling, exit codes."""
 
+import errno
 import gc
 import io
 import json
@@ -163,6 +164,16 @@ def test_cache_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
     assert not flag_cache.exists()
 
 
+def test_a_failed_cache_write_names_the_cache(tmp_path, capsys):
+    cache = tmp_path / "missing" / "sigma.csv"
+    code = main(["sigma", "--max", "5", "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"pentafold: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{cache}'\n"
+    assert [*tmp_path.rglob("*")] == []  # no temporary file left anywhere
+
+
 def test_verify_pnt(capsys):
     code, out = run_cli(capsys, "verify-pnt", "--degree", "60", "--format", "csv")
     assert "60,product_vs_sparse_series,PASS" in out
@@ -174,9 +185,9 @@ def test_verify_pnt_fails_when_the_fold_is_wrong(capsys, monkeypatch):
     from pentafold import qseries
 
     def flipped(degree_cap):
-        coeffs = list(fold(degree_cap).coeffs)
+        coeffs = list(fold(degree_cap))
         coeffs[7] = -coeffs[7]
-        return qseries.DenseSeries(tuple(coeffs))
+        return tuple(coeffs)
 
     fold = qseries.fold_product
     monkeypatch.setattr(qseries, "fold_product", flipped)
@@ -443,6 +454,19 @@ def test_usage_errors_exit_two(capsys, argv):
     assert exc.value.code == 2
 
 
+def test_abel_residue_past_the_order_reports_like_every_abel_flag(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    stderr = {}
+    for argv in (["abel", "--m", "0"], ["abel", "--m", "2", "--r", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        stderr[argv[-1]] = capsys.readouterr().err.splitlines()
+    first, *_, last = stderr["2"]
+    assert first == stderr["0"][0] == "usage: pentafold abel [-h] [--lambda EXPONENT] --m M [--i I | --r RESIDUE]"
+    assert last == "pentafold abel: error: argument --r: must lie in 0..1, got 2"
+
+
 # Run in a child whose address space is capped at 1 GiB, so each request fails
 # its first large allocation instead of asking the host for gigabytes.
 CAPPED_MAIN = """
@@ -703,7 +727,7 @@ def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
 # widest and most negative ints, bools (printed as True/False, never through
 # %d), and a last text column with trailing blanks, empty cells and newlines.
 LONG_TABLES = {
-    "sigma_brute_5000": (list(zip(range(1, 5001), sigma_table(5000, "brute").values[1:])), ["n", "sigma"]),
+    "sigma_brute_5000": (list(zip(range(1, 5001), sigma_table(5000, "brute")[1:])), ["n", "sigma"]),
     "int_extremes": ([(-(10**60), 7), (10**60, -3), (0, -12345), (5, 10**60)], ["a", "b"]),
     "bools": ([(True, 1, False), (False, True, True), (True, -2, False)], ["flag", "mixed", "last"]),
     "last_text": ([(1, "ab", "x "), (-22, "a", ""), (3, "", "\n"), (4, "a \n", "b\n c ")], ["n", "mid", "text"]),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentafold import (
-    DenseSeries,
     elementary_symmetric,
     euler_product,
     fold_product,
@@ -62,14 +61,14 @@ def monic_series(draw, sparse, max_cap=40, max_nonzero=4, largest=None):
     else:
         largest = largest or 9
         coeffs[1:] = draw(st.lists(st.integers(-largest, largest), min_size=cap, max_size=cap))
-    return DenseSeries(tuple(coeffs)), draw(st.integers(min_value=1, max_value=cap))
+    return tuple(coeffs), draw(st.integers(min_value=1, max_value=cap))
 
 
 def test_fold_product_matches_naive_oracle():
     # every cap's product is a prefix of the one at 200, as in euler_product
     reference = naive_product(range(1, 201), 200)
     for cap in range(201):
-        assert list(fold_product(cap).coeffs) == reference[: cap + 1]
+        assert list(fold_product(cap)) == reference[: cap + 1]
 
 
 def test_fold_product_rejects_negative_cap():
@@ -78,17 +77,17 @@ def test_fold_product_rejects_negative_cap():
 
 
 def test_euler_product_examples():
-    assert euler_product(0).coeffs == (1,)
-    assert euler_product(7).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
+    assert euler_product(0) == (1,)
+    assert euler_product(7) == (1, -1, -1, 0, 0, 1, 0, 1)
     at26 = euler_product(26)
-    assert at26.coeffs[22] == 1
-    assert at26.coeffs[26] == 1
+    assert at26[22] == 1
+    assert at26[26] == 1
 
 
 def test_euler_product_coefficients_stay_small():
     series = euler_product(300)
-    assert series.coeffs[0] == 1
-    assert all(c in (-1, 0, 1) for c in series.coeffs)
+    assert series[0] == 1
+    assert all(c in (-1, 0, 1) for c in series)
 
 
 def test_euler_product_matches_naive_oracle():
@@ -96,7 +95,7 @@ def test_euler_product_matches_naive_oracle():
     # prefix of the one at 200; caps 0..200 cross slot widths 8 to 40 bits
     reference = naive_product(range(1, 201), 200)
     for cap in range(201):
-        assert list(euler_product(cap).coeffs) == reference[: cap + 1]
+        assert list(euler_product(cap)) == reference[: cap + 1]
     assert len({_slot_bits(cap) for cap in range(201)}) == 5
 
 
@@ -104,7 +103,7 @@ def test_euler_product_equals_the_fold_route():
     # the fold passes over coefficient slices, the kernel over big integers
     folded = fold_product(3000)
     for cap in (1000, 1503, 3000):
-        assert euler_product(cap).coeffs == folded.coeffs[: cap + 1]
+        assert euler_product(cap) == folded[: cap + 1]
 
 
 def test_slot_width_bounds_every_coefficient():
@@ -126,12 +125,12 @@ def test_euler_product_rejects_negative_cap():
 
 
 def test_pentagonal_series_examples():
-    assert pentagonal_series(2).coeffs == (1, -1, -1)
+    assert pentagonal_series(2) == (1, -1, -1)
     at15 = pentagonal_series(15)
-    assert at15.coeffs[12] == -1
-    assert at15.coeffs[15] == -1
-    assert pentagonal_series(4).coeffs[3] == 0
-    assert pentagonal_series(4).coeffs[4] == 0
+    assert at15[12] == -1
+    assert at15[15] == -1
+    assert pentagonal_series(4)[3] == 0
+    assert pentagonal_series(4)[4] == 0
 
 
 def test_product_equals_sparse_series_at_1000():
@@ -140,7 +139,7 @@ def test_product_equals_sparse_series_at_1000():
 
 def test_nonzero_count_matches_membership_test():
     series = euler_product(1000)
-    nonzero = sum(1 for c in series.coeffs if c)
+    nonzero = sum(1 for c in series if c)
     members = sum(1 for v in range(1001) if is_pentagonal(v) is not None)
     assert nonzero == members
     # square-root growth: ~2*sqrt(2M/3) values up to M
@@ -167,7 +166,7 @@ def test_power_sums_equal_divisor_sums():
 @given(st.one_of(monic_series(sparse=True), monic_series(sparse=False)))
 def test_power_sums_match_dense_newton(case):
     series, count = case
-    assert power_sums(series, count) == newton_reference(series.coeffs, count)
+    assert power_sums(series, count) == newton_reference(series, count)
 
 
 # Caps up to five blocks, so that many rows read degrees j >= BLOCK as slices.
@@ -180,7 +179,7 @@ def test_power_sums_match_dense_newton(case):
 )
 def test_blocked_power_sums_match_dense_newton(case):
     series, count = case
-    assert power_sums(series, count) == newton_reference(series.coeffs, count)
+    assert power_sums(series, count) == newton_reference(series, count)
 
 
 EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
@@ -190,9 +189,9 @@ EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
 def test_power_sums_at_block_edges(count):
     # a series with a coefficient at every degree, of every size, and the
     # pentagonal one, at counts ending on and beside the block edges
-    dense = DenseSeries((1, *(((d * 7) % 11 - 5) for d in range(1, 2 * BLOCK + 2))))
+    dense = (1, *(((d * 7) % 11 - 5) for d in range(1, 2 * BLOCK + 2)))
     for series in (dense, pentagonal_series(2 * BLOCK + 1)):
-        assert power_sums(series, count) == newton_reference(series.coeffs, count)
+        assert power_sums(series, count) == newton_reference(series, count)
 
 
 def test_power_sums_sweep_every_count_and_every_prefix():
@@ -200,9 +199,9 @@ def test_power_sums_sweep_every_count_and_every_prefix():
     # series and on one with a coefficient at every degree: p_1..p_count do
     # not depend on the count, so each count returns a prefix of one reference
     cap = 3 * BLOCK + 8
-    dense = DenseSeries((1, *(((d * 7) % 11 - 5) for d in range(1, cap + 1))))
+    dense = (1, *(((d * 7) % 11 - 5) for d in range(1, cap + 1)))
     for series in (dense, pentagonal_series(cap)):
-        reference = newton_reference(series.coeffs, cap)
+        reference = newton_reference(series, cap)
         for count in range(1, cap + 1):
             assert power_sums(series, count) == reference[:count]
 
@@ -226,11 +225,11 @@ def test_power_sums_widen_inside_the_first_block():
     # at k = 39; p_197 needs 512-bit slots, so every width up to it is tried,
     # each time from row 1
     count = 3 * BLOCK + 5
-    series = DenseSeries((1, -3) + (0,) * count)
-    reference = newton_reference(series.coeffs, count)
+    series = (1, -3) + (0,) * count
+    reference = newton_reference(series, count)
     assert reference == [3**k for k in range(1, count + 1)]
-    assert first_uncertified_row(series.coeffs, reference) == 19
-    assert first_uncertified_row(series.coeffs, reference, w=64) == 39
+    assert first_uncertified_row(series, reference) == 19
+    assert first_uncertified_row(series, reference, w=64) == 39
     assert power_sums(series, count) == reference
 
 
@@ -239,11 +238,11 @@ def test_power_sums_widen_after_late_blocks():
     # block: the three blocks before it are kept, and the rest are solved in
     # 64-bit slots, which hold every row to 400
     count = 400
-    series = DenseSeries((1,) + (0,) * 6 + (1,) + (0,) * 12 + (-3,) + (0,) * (count - 20))
-    reference = newton_reference(series.coeffs, count)
-    breaks = first_uncertified_row(series.coeffs, reference)
+    series = (1,) + (0,) * 6 + (1,) + (0,) * 12 + (-3,) + (0,) * (count - 20)
+    reference = newton_reference(series, count)
+    breaks = first_uncertified_row(series, reference)
     assert breaks == 209 and 3 * BLOCK < breaks <= 4 * BLOCK
-    assert first_uncertified_row(series.coeffs, reference, w=64) is None
+    assert first_uncertified_row(series, reference, w=64) is None
     assert power_sums(series, count) == reference
 
 
@@ -257,7 +256,7 @@ def test_power_sums_widen_after_late_blocks():
 )
 def test_power_sums_with_large_coefficients_match_dense_newton(case):
     series, count = case
-    assert power_sums(series, count) == newton_reference(series.coeffs, count)
+    assert power_sums(series, count) == newton_reference(series, count)
 
 
 def test_symmetric_function_domain_errors():
@@ -266,14 +265,7 @@ def test_symmetric_function_domain_errors():
         elementary_symmetric(series, 6)
     with pytest.raises(ValueError):
         power_sums(series, 9)
-    shifted = DenseSeries((2, 1, 1))
-    with pytest.raises(ValueError):
-        elementary_symmetric(shifted, 2)
-
-
-def test_dense_series_shape():
-    with pytest.raises(ValueError):
-        DenseSeries(())
-    series = DenseSeries((1, 0, -1))
-    assert series.degree_cap == 2
-    assert series.nonzero() == [(0, 1), (2, -1)]
+    for bad in [(2, 1, 1), ()]:  # not monic, and no constant coefficient at all
+        for function in (elementary_symmetric, power_sums):
+            with pytest.raises(ValueError):
+                function(bad, 2)

@@ -192,7 +192,7 @@ def test_the_reference_flags_a_report_row_that_fails(oracle, capsys, monkeypatch
     def recurrence_with_fault(max_n, method="recurrence"):
         table = sigma_table(max_n, method)
         if method == "recurrence":
-            table.values[9973] += 1
+            table[9973] += 1
         return table
 
     monkeypatch.setattr(acceptance, "sigma_table", recurrence_with_fault)

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pentafold import (
-    SigmaTable,
     first_wrong_sigma,
     is_pentagonal,
     load_table,
@@ -91,19 +90,19 @@ def test_recurrence_at_one_needs_no_history():
 def test_table_methods_agree():
     brute = sigma_table(10**4, "brute")
     recurrence = sigma_table(10**4, "recurrence")
-    assert brute.values == recurrence.values
+    assert brute == recurrence
 
 
 def test_paired_sieve_matches_the_divisor_sieve_at_every_small_size():
     for max_n in range(1, 51):
-        assert sigma_table(max_n, "brute").values == divisor_sieve(max_n)
+        assert sigma_table(max_n, "brute") == divisor_sieve(max_n)
 
 
 def test_brute_sieve_matches_trial_division():
     # every perfect square and partner pair up to here, odd n tried with odd
     # candidates only
     limit = 3 * 10**4
-    assert sigma_table(limit, "brute").values[1:] == [sigma_brute(n) for n in range(1, limit + 1)]
+    assert sigma_table(limit, "brute")[1:] == [sigma_brute(n) for n in range(1, limit + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -113,15 +112,15 @@ def recurrence_30k():
 
 def test_recurrence_table_matches_divisor_sieve_at_scale(recurrence_30k):
     limit = 3 * 10**4
-    assert recurrence_30k.values == divisor_sieve(limit)
+    assert recurrence_30k == divisor_sieve(limit)
 
 
 def test_certificate_passes_the_recurrence_at_scale(recurrence_30k):
-    assert first_wrong_sigma(recurrence_30k.values, recurrence_30k.max_n) is None
+    assert first_wrong_sigma(recurrence_30k, len(recurrence_30k) - 1) is None
 
 
 def test_certificate_passes_the_recurrence_at_a_hundred_thousand():
-    assert first_wrong_sigma(sigma_table(10**5, "recurrence").values, 10**5) is None
+    assert first_wrong_sigma(sigma_table(10**5, "recurrence"), 10**5) is None
 
 
 @pytest.mark.slow
@@ -131,7 +130,7 @@ def test_certificate_passes_the_recurrence_at_a_million():
     constant term 1, and -x*S'/S = sum of sigma(n)*x**n then fixes every
     later coefficient."""
     table = sigma_table(10**6, "recurrence")
-    assert first_wrong_sigma(table.values, table.max_n) is None
+    assert first_wrong_sigma(table, 10**6) is None
 
 
 def test_certificate_finds_a_planted_error_at_every_small_n():
@@ -144,7 +143,7 @@ def test_certificate_finds_a_planted_error_at_every_small_n():
 
 
 def test_certificate_finds_a_planted_error_at_a_large_prime():
-    values = sigma_table(10**4, "brute").values
+    values = sigma_table(10**4, "brute")
     values[9973] += 1
     assert first_wrong_sigma(values, 10**4) == 9973
     assert first_wrong_sigma(values, 9972) is None  # rows beyond upto are not read
@@ -210,7 +209,7 @@ def multiplicative_certificate(values, upto):
     upto=st.integers(0, 10**6),
 )
 def test_certificate_finds_what_the_multiplicative_reference_finds(max_n, changes, upto):
-    values = sigma_table(max_n, "brute").values
+    values = sigma_table(max_n, "brute")
     for swap, i, j, delta in changes:
         i, j = i % (max_n + 1), j % (max_n + 1)  # the sentinel at index 0 is drawn too
         if swap:
@@ -222,9 +221,9 @@ def test_certificate_finds_what_the_multiplicative_reference_finds(max_n, change
 
 
 def test_table_examples():
-    assert sigma_table(11, "brute").values[1:] == PAPER_TABLE
-    assert sigma_table(1, "brute").values[1:] == [1]
-    assert sigma_table(1, "recurrence").values[1:] == [1]
+    assert sigma_table(11, "brute") == [0, *PAPER_TABLE]
+    assert sigma_table(1, "brute") == [0, 1]
+    assert sigma_table(1, "recurrence") == [0, 1]
     assert sigma_table(13, "recurrence")[13] == 14
 
 
@@ -235,26 +234,16 @@ def test_table_rejects_bad_arguments():
         sigma_table(5, "guess")
 
 
-def test_table_lookup_bounds():
-    table = sigma_table(5)
-    with pytest.raises(ValueError):
-        table[0]
-    with pytest.raises(ValueError):
-        table[6]
-
-
-def test_table_counts_its_own_rows():
-    table = SigmaTable([0, 1, 3])
-    assert table.max_n == 2
-    assert table[2] == 3
-    with pytest.raises(ValueError, match=r"table holds sigma\(1\.\.2\), asked for sigma\(3\)"):
-        table[3]
-
-
 def test_recurrence_requires_table_coverage():
-    table = sigma_table(3)
-    with pytest.raises(ValueError):
-        sigma_recurrence(20, table)
+    # the list must hold sigma(n - 1): a short one is a ValueError, never an IndexError
+    for n, table in [(20, sigma_table(3)), (2, [0]), (5, [0, 1, 3])]:
+        message = f"sigma({n}) needs sigma(1..{n - 1}), table holds sigma(1..{len(table) - 1})"
+        for recur in (recurrence_terms, sigma_recurrence):
+            with pytest.raises(ValueError) as exc:
+                recur(n, table)
+            assert str(exc.value) == message
+    assert sigma_recurrence(1, [0]) == 1
+    assert sigma_recurrence(4, [0, 1, 3, 4]) == 7
 
 
 def test_disabling_boundary_rule_breaks_every_pentagonal_n():
@@ -275,8 +264,7 @@ def test_save_and_load_roundtrip(tmp_path):
     assert text.splitlines()[0] == "1,1"
     assert text.splitlines()[-1] == f"40,{sigma_brute(40)}"
     loaded = load_table(path)
-    assert loaded.max_n == 40
-    assert loaded.values == table.values
+    assert loaded == table
 
 
 def test_save_table_writes_the_golden_records_byte_for_byte(tmp_path):
@@ -313,8 +301,9 @@ def test_save_failing_part_way_leaves_old_cache_intact(tmp_path, monkeypatch):
     real_open = Path.open
     with monkeypatch.context() as patch:
         patch.setattr(Path, "open", lambda self, *args, **kwargs: FullDisk(real_open(self, *args, **kwargs), 50))
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as exc:
             save_table(sigma_table(40), path)
+    assert str(exc.value) == f"[Errno {errno.ENOSPC}] No space left on device: '{path}'"  # the target, not the partial file
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
 
@@ -329,7 +318,7 @@ def test_load_rejects_gaps(tmp_path):
 def test_load_certifies_the_rows_it_is_asked_for(tmp_path):
     path = tmp_path / "sigma.csv"
     path.write_text("1,1\n2,3\n3,4\n4,8\n5,6\n", encoding="ascii")
-    assert load_table(path, rows=3).values == [0, 1, 3, 4, 8, 6]  # row 4 not certified
+    assert load_table(path, rows=3) == [0, 1, 3, 4, 8, 6]  # row 4 not certified
     for rows in (4, 5, 99, None):
         with pytest.raises(ValueError, match=r"n=4 holds 8, but sigma\(4\) = 7"):
             load_table(path, rows=rows)
@@ -370,7 +359,7 @@ def assert_read_as_a_subset(path, line):
     except ValueError:
         expected = None
     if line is None:
-        assert load_table(path).values == expected
+        assert load_table(path) == expected
     else:
         with pytest.raises(ValueError) as raised:
             load_table(path)
