@@ -137,8 +137,10 @@ def check_period_cancellation() -> CriterionResult:
     printed 8/12/16/20-term blocks reproduced verbatim; < 1 s."""
     max_m, periods = 24, 5
     start = time.perf_counter()
-    failures = [m for m in range(1, max_m + 1) if not verify_period_cancellation(m, periods).passed]
-    misprinted = [m for m, block in PRINTED_BLOCKS.items() if period_profile(m) != block]
+    reports = [verify_period_cancellation(m, periods) for m in range(1, max_m + 1)]
+    failures = [report.m for report in reports if not report.passed]
+    blocks = {m: list(reports[m - 1].block) for m in PRINTED_BLOCKS}  # a tuple never equals a list
+    misprinted = [m for m, block in PRINTED_BLOCKS.items() if blocks[m] != block]
     elapsed = time.perf_counter() - start
     ok = not failures and not misprinted and elapsed < 1.0
     detail = (
@@ -148,7 +150,7 @@ def check_period_cancellation() -> CriterionResult:
     if failures or misprinted:
         parts = [f"period cancellation failed for m = {failures}"] if failures else []
         for m in misprinted[:1]:
-            position = _first_difference(period_profile(m), PRINTED_BLOCKS[m])
+            position = _first_difference(blocks[m], PRINTED_BLOCKS[m])
             parts.append(f"printed block for m = {m} differs first at position {position}")
         detail = "; ".join(parts)
     return CriterionResult(6, "period-cancellation", ok, detail, elapsed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from itertools import chain
@@ -139,25 +140,19 @@ def cmd_verify_pnt(args) -> tuple[Iterable[tuple], list[str], bool]:
 
 
 def cmd_verify_periods(args) -> tuple[Iterable[tuple], list[str], bool]:
-    from .cyclotomic import (
-        partial_sum_aggregate,
-        period_profile,
-        verify_basis_cancellation,
-        verify_period_cancellation,
-    )
+    from .cyclotomic import partial_sum_aggregate, verify_basis_cancellation, verify_period_cancellation
 
     rows = []
     all_ok = True
     for m in range(1, args.max_m + 1):
-        periods = verify_period_cancellation(m, args.periods)  # scans the stream itself
-        block = period_profile(m)  # the first 4m terms, read by every check below
-        aggregate = partial_sum_aggregate(m, block)
+        periods = verify_period_cancellation(m, args.periods)  # one stream walk; block 0 feeds the checks below
+        aggregate = partial_sum_aggregate(m, periods.block)
         all_ok &= periods.passed
         signed_sum = len(periods.violations)
         basis_sum = max(map(abs, aggregate))
         verdict = "PASS" if periods.passed else "FAIL"
-        rows.append((m, "-", periods.block_length, signed_sum, basis_sum, verdict))
-        for basis in verify_basis_cancellation(m, block):
+        rows.append((m, "-", len(periods.block), signed_sum, basis_sum, verdict))
+        for basis in verify_basis_cancellation(m, periods.block):
             all_ok &= basis.passed
             verdict = "PASS" if basis.passed else "FAIL"
             rows.append((m, basis.residue, basis.period_length, basis.signed_sum, basis.basis_sum, verdict))
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--differences", action="store_true", help="difference progression of the merged sequence")
     mode.add_argument("--interpolated", action="store_true", help="merged sequence with interpolated fractions")
-    mode.add_argument("--is-pentagonal", type=int, metavar="V", help="classify one value instead")
+    mode.add_argument("--is-pentagonal", type=NON_NEGATIVE, metavar="V", help="classify one value instead")
 
     p = sub.add_parser("sigma", help="divisor-sum table")
     p.add_argument("--max", type=POSITIVE, required=True, help="largest n")
@@ -248,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--r", dest="residue", type=NON_NEGATIVE, help="filter to this residue class instead")
     p.add_argument("--rho", type=RADIUS, default=0.99, help="damping radius")
     p.add_argument("--baseline", type=RADIUS, default=0.9, help="radius to compare decay against")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="truncation tolerance")
+    tolerance = _ranged(float, lambda v: 0 < v / 10 and math.isfinite(v), "positive and finite with a nonzero tenth")
+    p.add_argument("--tolerance", type=tolerance, default=1e-9, help="truncation tolerance")
     p.set_defaults(usage_error=p.error)  # --r is checked against --m once both are parsed
 
     sub.add_parser("report", help="run the full acceptance suite")

@@ -5,7 +5,7 @@ residue-class and partial-sum checks read from it."""
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .pentagonal import iter_signed_values
 
@@ -19,27 +19,26 @@ def _check_residues(m: int, block: Iterable[tuple[int, int]] = ()) -> None:
         raise ValueError(f"residue must lie in 0..{m - 1}, got {bad}")
 
 
-def iter_profile(m: int) -> Iterator[tuple[int, int]]:
-    """(sign, exponent mod m) over stream positions 0, 1, 2, ...; position 0 is
+def _profile(m: int, length: int) -> list[tuple[int, int]]:
+    """(sign, exponent mod m) over stream positions 0..length-1; position 0 is
     the constant term, +1 at residue 0."""
-    _check_residues(m)
-    yield 1, 0
-    for value, sign in iter_signed_values():
-        yield sign, value % m
+    return [(1, 0)] + [(sign, value % m) for value, sign in islice(iter_signed_values(), length - 1)]
 
 
 def period_profile(m: int) -> list[tuple[int, int]]:
     """One 4m-position block of (sign, residue); the stream repeats it forever,
     since values are congruent mod m under k -> k + 2m and signs under k -> k + 2."""
-    return list(islice(iter_profile(m), 4 * m))
+    _check_residues(m)
+    return _profile(m, 4 * m)
 
 
 class PeriodCancellationReport(NamedTuple):
-    """Outcome of checking consecutive 4m-term blocks of the stream."""
+    """Outcome of checking consecutive 4m-term blocks of the stream, with
+    block 0, the 4m (sign, residue) pairs every later block was checked against."""
 
     m: int
     periods: int
-    block_length: int
+    block: tuple[tuple[int, int], ...]
     violations: tuple[str, ...]
 
     @property
@@ -50,13 +49,13 @@ class PeriodCancellationReport(NamedTuple):
 def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport:
     """Over `periods` consecutive 4m-term blocks, check that (a) the signed
     count at every residue is zero within each block, and (b) every block
-    repeats block 0's (sign, residue) profile position-for-position.
-    Violations are report content, not errors."""
+    repeats block 0's (sign, residue) profile position-for-position, in one
+    stream walk.  Violations are report content, not errors."""
     _check_residues(m)
     if periods < 1:
         raise ValueError(f"period count must be positive, got {periods}")
     block_length = 4 * m
-    profile = list(islice(iter_profile(m), block_length * periods))
+    profile = _profile(m, block_length * periods)
     base = profile[:block_length]
     def residue_sums(block: list[tuple[int, int]]) -> list[int]:
         sums = [0] * m
@@ -79,7 +78,7 @@ def verify_period_cancellation(m: int, periods: int) -> PeriodCancellationReport
                         f"breaks the block-0 pattern {want}"
                     )
                     break
-    return PeriodCancellationReport(m, periods, block_length, tuple(violations))
+    return PeriodCancellationReport(m, periods, tuple(base), tuple(violations))
 
 
 class BasisCancellationReport(NamedTuple):
@@ -100,15 +99,16 @@ class BasisCancellationReport(NamedTuple):
 
 
 def verify_basis_cancellation(
-    m: int, block: list[tuple[int, int]]
+    m: int, block: Sequence[tuple[int, int]]
 ) -> list[BasisCancellationReport]:
     """One report per residue class, in residue order, from one grouping pass
-    over block, which is period_profile(m).  A class's sign period L is the
-    smallest divisor of its length whose rotation leaves its signs unchanged
-    (the classes have different sub-periods, so nothing is assumed); then one
-    period must sum to zero and so must its L running partial sums (zero mean
-    partial sum, the averaging reading of the cancellation).  The stream
-    repeats its block, so each class repeats these signs forever."""
+    over block, period_profile(m) or a period report's block.  A class's sign
+    period L is the smallest divisor of its length whose rotation leaves its
+    signs unchanged (the classes have different sub-periods, so nothing is
+    assumed); then one period must sum to zero and so must its L running
+    partial sums (zero mean partial sum, the averaging reading of the
+    cancellation).  The stream repeats its block, so each class repeats these
+    signs forever."""
     _check_residues(m, block)
     classes: list[list[int]] = [[] for _ in range(m)]
     for sign, residue in block:
@@ -129,11 +129,11 @@ def verify_basis_cancellation(
     return reports
 
 
-def partial_sum_aggregate(m: int, block: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The sum of the leading partial sums of block, which is period_profile(m),
-    as m coordinates, one per residue: the term at position t lies in the last
-    len(block) - t of them, so coordinate r is the sum of sign * (len(block) - t)
-    over the positions t of residue r, O(len(block)) in all.
+def partial_sum_aggregate(m: int, block: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The sum of the leading partial sums of block (period_profile(m) or a
+    period report's block) as m coordinates, one per residue: the term at t
+    lies in the last len(block) - t of them, so coordinate r is the sum of
+    sign * (len(block) - t) over the positions t of residue r, O(len(block)).
 
     This aggregate is reported alongside the period checks rather than
     asserted in general; only the smallest cases are pinned down elsewhere.

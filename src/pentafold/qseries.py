@@ -76,7 +76,7 @@ def euler_product(degree_cap: int) -> tuple[int, ...]:
     ones = full // ((1 << w) - 1)  # 1 in every slot
     x = 1
     for k in range(1, half + 1):
-        x = (x - ((x & (full >> w * k)) << w * k)) & full
+        x = (x - ((x << w * k) & full)) & full
     top = w * (half + 1)
     low = full >> top
     x = (x - (((x & low) * (ones >> top) & low) << top)) & full
@@ -161,7 +161,7 @@ def power_sums(series: tuple[int, ...], count: int) -> list[int]:
         data = b"".join([(v + bias).to_bytes(w // 8, "little") for v in padded])
         pairs = [int.from_bytes(data[i : i + size // 4], "little") for i in range(0, len(data) - size // 8, size // 8)]
         image, inv = sum([c << w * j for j, c in support if j < BLOCK]), 1  # image is odd: inv = 1 is right mod 2
-        for k in range(1, size.bit_length()):  # Newton's step: inv right mod 2**(2**k)
+        for k in range(1, (size - 1).bit_length() + 1):  # Newton's step: inv right mod 2**(2**k), up to 2**size
             inv = inv * (2 - image * inv) & (1 << (1 << k)) - 1
         # (c, degrees j, -d_j, w * r_j): while block b is solved, len(pairs) == b, so pairs[-d] is pairs[b - d]
         reads = [(c, js, [-j // BLOCK for j in js], [w * (-j % BLOCK) for j in js]) for c, js in by_value.items()]

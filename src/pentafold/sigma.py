@@ -88,8 +88,9 @@ def sigma_table(max_n: int, method: str = "recurrence") -> list[int]:
 
 def _divisor_sieve(max_n: int) -> list[int]:
     """[0, sigma(1), ..., sigma(max_n)] by the paired sieve of sigma_table."""
-    values = [0] * (max_n + 1)
-    for d in range(1, isqrt(max_n) + 1):
+    values = [*range(1, max_n + 2)]  # d = 1 adds 1 + n to every n; sigma(1) = 1
+    values[:2] = 0, 1
+    for d in range(2, isqrt(max_n) + 1):
         square = d * d
         values[square::d] = map(add, values[square::d], range(2 * d, d + max_n // d + 1))
         values[square] -= d

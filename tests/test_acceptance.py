@@ -150,9 +150,9 @@ def planted_at(function, key, change):
     return lambda *args: change(function(*args)) if args[0] == key else function(*args)
 
 
-def sign_flipped(block: list, position: int) -> list:
+def sign_flipped(block: tuple, position: int) -> tuple:
     sign, residue = block[position]
-    return [*block[:position], (-sign, residue), *block[position + 1 :]]
+    return (*block[:position], (-sign, residue), *block[position + 1 :])
 
 
 # Criterion, the layer function it calls, the argument at which the fault is
@@ -170,11 +170,11 @@ PLANTED_FAULTS = {
         "product != sparse series first at degree 1000",
     ),
     "printed-block-m3": (
-        6, "period_profile", 3, lambda block: sign_flipped(block, 4),
+        6, "verify_period_cancellation", 3, lambda report: report._replace(block=sign_flipped(report.block, 4)),
         "printed block for m = 3 differs first at position 4",
     ),
     "printed-block-m2": (
-        6, "period_profile", 2, lambda block: sign_flipped(block, 0),
+        6, "verify_period_cancellation", 2, lambda report: report._replace(block=sign_flipped(report.block, 0)),
         "printed block for m = 2 differs first at position 0",
     ),
     "period-m7": (

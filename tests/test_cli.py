@@ -391,31 +391,37 @@ def test_abel_near_one_prints_the_exact_value_not_rounding_noise(capsys):
     assert (fields[5], code) == (("PASS", 0) if passed else ("FAIL", 1))
 
 
-def test_nan_tolerance_is_a_usage_error(capsys):
-    code = main(["abel", "--m", "2", "--i", "1", "--lambda", "1", "--tolerance", "nan"])
+TOLERANCE_ERROR = "pentafold abel: error: argument --tolerance: must be positive and finite with a nonzero tenth, got "
+
+
+def refusal_line(capsys, argv: list[str]) -> str:
+    """The last stderr line of a request that argparse must refuse with exit 2 and no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "pentafold: tolerance must be positive, got nan\n"
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err.splitlines()[-1]
+
+
+def test_nan_tolerance_is_a_usage_error(capsys):
+    argv = ["abel", "--m", "2", "--i", "1", "--lambda", "1", "--tolerance", "nan"]
+    assert refusal_line(capsys, argv) == TOLERANCE_ERROR + "nan"
 
 
 @pytest.mark.parametrize("point", [["--i", "1"], ["--r", "1"]], ids=["root", "residue"])
 def test_infinite_tolerance_is_a_usage_error(capsys, point):
-    code = main(["abel", "--m", "2", *point, "--tolerance", "inf"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "pentafold: tolerance must be finite, got inf\n"
+    assert refusal_line(capsys, ["abel", "--m", "2", *point, "--tolerance", "inf"]) == TOLERANCE_ERROR + "inf"
 
 
 def test_tolerance_whose_tenth_underflows_is_a_usage_error(capsys):
-    code = main(["abel", "--m", "2", "--tolerance", "5e-324"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "pentafold: tolerance 5e-324 is too small: its tenth underflows to 0\n"
+    assert refusal_line(capsys, ["abel", "--m", "2", "--tolerance", "5e-324"]) == TOLERANCE_ERROR + "5e-324"
     code, out = run_cli(capsys, "abel", "--m", "2", "--tolerance", "1e-320", "--format", "csv")
     assert (code, out.split(",")[5]) == (0, "PASS")
+
+
+def test_negative_value_to_classify_is_a_usage_error(capsys):
+    line = refusal_line(capsys, ["seq", "--is-pentagonal", "-3"])
+    assert line == "pentafold seq: error: argument --is-pentagonal: must be non-negative, got -3"
 
 
 def test_abel_large_terms_within_float_range(capsys):

@@ -17,7 +17,6 @@ from pentafold import (
     verify_basis_cancellation,
     verify_period_cancellation,
 )
-from pentafold.cyclotomic import iter_profile
 from pentafold.summation import root_of_unity_fixed
 
 # One full 4m-term block in stream order, (sign, residue) per position;
@@ -43,10 +42,11 @@ ONE = 1 << 64  # the scale of the fixed-point roots below
 def prefix_residue_sums(m: int, term_count: int) -> tuple[int, ...]:
     """The signed count at each residue over the first term_count stream
     terms (constant included): that prefix at a primitive m-th root a, as
-    coordinates on a^0 .. a^(m-1)."""
+    coordinates on a^0 .. a^(m-1).  Read from the labelled terms, which share
+    no code with the period checks' profile."""
     sums = [0] * m
-    for sign, residue in islice(iter_profile(m), term_count):
-        sums[residue] += sign
+    for term in islice(iter_terms(include_zero=True), term_count):
+        sums[term.value % m] += term.sign
     return tuple(sums)
 
 
@@ -166,6 +166,12 @@ def test_verify_period_cancellation_examples():
     for m in range(1, 25):
         report = verify_period_cancellation(m, 5)
         assert report.passed, report.violations
+
+
+def test_the_period_report_hands_back_the_block_it_checked():
+    for m in range(1, 61):
+        for periods in range(1, 7):
+            assert verify_period_cancellation(m, periods).block == tuple(period_profile(m)), (m, periods)
 
 
 def test_period_report_flags_bad_input():
@@ -350,8 +356,8 @@ def test_one_flipped_sign_in_the_block_fails_every_block_check():
     assert partial_sum_aggregate(5, mutated) != partial_sum_aggregate(5, block)
 
 
-def test_one_flipped_sign_in_the_stream_is_named_by_the_period_check(monkeypatch):
-    position = 4 * 5 * 2 + 5  # inside block 2 for m = 5
+def flip_in_the_stream(monkeypatch, position: int) -> None:
+    """Turn over the sign at one stream position of every later walk."""
     original = cyclotomic.iter_signed_values
 
     def one_sign_flipped():
@@ -359,7 +365,13 @@ def test_one_flipped_sign_in_the_stream_is_named_by_the_period_check(monkeypatch
             yield value, -sign if index == position else sign
 
     monkeypatch.setattr(cyclotomic, "iter_signed_values", one_sign_flipped)
+
+
+def test_one_flipped_sign_in_the_stream_is_named_by_the_period_check(monkeypatch):
+    position = 4 * 5 * 2 + 5  # inside block 2 for m = 5
+    flip_in_the_stream(monkeypatch, position)
     report = verify_period_cancellation(5, 3)
+    assert report.block == tuple(BLOCK_M5)
     assert not report.passed
     assert any(v.startswith(f"position {position}:") for v in report.violations), report.violations
     assert all(v.startswith(("block 2:", f"position {position}:")) for v in report.violations)
@@ -367,4 +379,17 @@ def test_one_flipped_sign_in_the_stream_is_named_by_the_period_check(monkeypatch
     assert verify_period_cancellation(5, 4).violations == (
         "block 2: residue 2 sums to 2",
         f"position {position}: profile (1, 2) breaks the block-0 pattern (-1, 2)",
+    )
+
+
+def test_a_sign_flipped_in_block_0_shows_in_the_block_and_the_violations(monkeypatch):
+    position = 7  # (+1, residue 2) for m = 5
+    flip_in_the_stream(monkeypatch, position)
+    report = verify_period_cancellation(5, 3)
+    assert report.block == tuple(flipped(BLOCK_M5, position))
+    # block 0 no longer cancels, and blocks 1 and 2, which still do, break its pattern
+    assert report.violations == (
+        "block 0: residue 2 sums to -2",
+        "position 27: profile (1, 2) breaks the block-0 pattern (-1, 2)",
+        "position 47: profile (1, 2) breaks the block-0 pattern (-1, 2)",
     )

@@ -226,13 +226,13 @@ def test_records_keep_the_dataclass_repr_equality_and_immutability():
     term = PentagonalTerm(1, pentafold.Branch.PLUS, 2, -1)
     assert repr(term) == "PentagonalTerm(k=1, branch=<Branch.PLUS: 'plus'>, value=2, sign=-1)"
     for make in [
-        lambda: PeriodCancellationReport(1, 2, 4, ()),
+        lambda: PeriodCancellationReport(1, 2, ((1, 0), (-1, 0), (-1, 0), (1, 0)), ()),
     ]:
         assert make() == make() and hash(make()) == hash(make())
         assert copy.deepcopy(make()) == make() == pickle.loads(pickle.dumps(make()))
     for record, field in [
         (term, "k"),
-        (PeriodCancellationReport(1, 2, 4, ()), "violations"),
+        (PeriodCancellationReport(1, 2, ((1, 0), (-1, 0), (-1, 0), (1, 0)), ()), "violations"),
     ]:
         with pytest.raises(AttributeError):
             setattr(record, field, 0)

@@ -14,6 +14,7 @@ from pentafold import (
     is_pentagonal,
     pentagonal_series,
     power_sums,
+    qseries,
     sigma_brute,
 )
 from pentafold.qseries import BLOCK, _slot_bits
@@ -204,6 +205,19 @@ def test_power_sums_sweep_every_count_and_every_prefix():
         reference = newton_reference(series, cap)
         for count in range(1, cap + 1):
             assert power_sums(series, count) == reference[:count]
+
+
+@pytest.mark.parametrize("block", [32, 40, 48, 64, 96, 128])
+def test_power_sums_at_every_block_width(monkeypatch, block):
+    # Newton's inverse must be right mod 2**(w * BLOCK) when that is no power
+    # of two: with too few steps, BLOCK = 40 and 48 gave p_33 = -8301 and
+    # BLOCK = 96 gave p_65 = -1741546, and the slot certificate let them pass
+    monkeypatch.setattr(qseries, "BLOCK", block)
+    count = 2000
+    assert power_sums(pentagonal_series(count), count) == [sigma_brute(k) for k in range(1, count + 1)]
+    cap = 3 * block + 8
+    dense = (1, *(((d * 7) % 11 - 5) for d in range(1, cap + 1)))
+    assert power_sums(dense, cap) == newton_reference(dense, cap)
 
 
 def first_uncertified_row(coeffs, reference, w=32):

@@ -206,6 +206,7 @@ INTEGER_FLAGS = [
     ("seq", "--count", 1), ("sigma", "--max", 1), ("verify-pnt", "--degree", 0),
     ("verify-periods", "--max-m", 1), ("verify-periods", "--periods", 1), ("verify-powersums", "--count", 1),
     ("sum", "--lambda", 0), ("abel", "--lambda", 0), ("abel", "--m", 1), ("abel", "--i", 0), ("abel", "--r", 0),
+    ("seq", "--is-pentagonal", 0),
 ]
 RADIUS_FLAGS = ["--rho", "--baseline"]
 REQUIRED = {"sigma": ["--max", "7"], "sum": ["--lambda", "1"], "abel": ["--m", "3"]}
