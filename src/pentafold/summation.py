@@ -19,8 +19,9 @@ if TYPE_CHECKING:
 
 HARD_EXPONENT_CAP = 10**6
 FLOAT_LOG_MAX = math.log(sys.float_info.max)
-# Bits kept past each tolerance bound of the damped sums, so that a value far
-# below the tolerance, as near rho -> 1, still comes out with its own digits.
+# Bits kept past the fixed-point bound of a damped value (class sums and roots
+# together), so that a value far below the tolerance, as near rho -> 1, still
+# comes out with its own digits.
 MARGIN_BITS = 64
 
 
@@ -158,17 +159,22 @@ def _largest_log_term(exponent: int, rho: float, cap: int) -> tuple[float, int]:
 
 
 def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> int:
-    """Fraction bits P for the damping factors rho**v, enough that the
-    fixed-point error of a damped sum over the stream values up to cap is at
-    most tolerance/10, and MARGIN_BITS more.
+    """Fraction bits P for the damping factors rho**v and the roots of unity,
+    enough that the fixed-point error of a damped value over the stream values
+    up to cap is under (tolerance/5) * 2**-MARGIN_BITS.
 
-    The bound: there are N <= 2*sqrt(cap) such values.  Each step to the next
-    value truncates once and multiplies by a gap factor that has been advanced,
-    truncating, fewer than N times, so it adds less than N units of 2**-P to
-    the error of rho**v, and every factor is off by less than N**2 units.  The
-    sum of sign * v**exponent * rho**v is then off by less than
-    N**3 * cap**exponent * 2**-P.  P is also at least the e of rho = a / 2**e,
-    which makes the first factor rho exact.
+    The class sums: there are N <= s = 2*isqrt(cap) such values.  Each step to
+    the next value truncates once and multiplies by a gap factor that has been
+    advanced, truncating, fewer than N times, so it adds less than N units of
+    2**-P to the error of rho**v, and every factor is off by less than N**2
+    units.  The sum of sign * v**exponent * rho**v is then off by less than
+    N**3 * cap**exponent * 2**-P, which P >= needed + 1 keeps within E/2,
+    E = (tolerance/10) * 2**-MARGIN_BITS.  The roots: every D_v truncates
+    downward, so sum |C_r| * 2**-P <= N * cap**exponent + 1 <= (s + 1) *
+    cap**exponent, and a root at P bits is within 2*sqrt(2) * 2**-P of the
+    true root, so the roots add at most sqrt(2) * (s + 1) / s**3 * E <= 0.53 E,
+    s being at least 2.  Together that is under 2E.  P is also at least the e
+    of rho = a / 2**e, which makes the first factor rho exact.
     """
     _, denominator = rho.as_integer_ratio()
     exact_rho = denominator.bit_length() - 1
@@ -242,7 +248,7 @@ def _damped_classes(
 _GUARD_BITS = 20  # absorbs the truncation errors below, a few units per series term
 
 
-@lru_cache(maxsize=32)  # a report asks 66 times for 11 distinct widths
+@lru_cache(maxsize=32)  # a report asks 40 times for 4 distinct widths
 def _pi_fixed(bits: int) -> int:
     """pi * 2**bits to within 2 units, by Machin's pi/4 = 4 atan(1/5) - atan(1/239)."""
     one = 1 << (bits + _GUARD_BITS)
@@ -272,7 +278,7 @@ def root_of_unity_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
     return _root_fixed(m, j, bits)
 
 
-@lru_cache(maxsize=256)  # a report asks 448 times for 170 distinct roots
+@lru_cache(maxsize=256)  # a report asks 648 times for 84 distinct roots
 def _root_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
@@ -306,17 +312,14 @@ def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 
     point rho times the i-th m-th root of unity alpha**i: the sum over the
     classes r of C_r * 2**-P * alpha**(i*r), from _damped_classes.
 
-    Truncation stops at the smallest cap clearing the tail bound at rho.  The
-    classes are folded exactly by i*r mod m, and each folded sum is multiplied
-    by its root in fixed point, with enough bits that the roots move the value
-    by at most tolerance/10.  So the result is within tolerance/10 (the fixed
-    point) + tolerance/10 (the roots) of the damped sum up to the cap, and
-    within tolerance/10 more (the tail) of the whole damped series, besides
-    rounding each part once to a float.  Both fixed-point bounds keep
-    MARGIN_BITS to spare.  Cost: one pass over the stream up to the cap and
-    one root per folded class, at most min(m, terms), so it does not grow
-    with m.  A term or total beyond float range raises FloatRangeError, the
-    first before any exact work.
+    Truncation stops at the smallest cap clearing the tail bound at rho.  Each
+    class sum is multiplied exactly by its root at the class sums' own P bits,
+    so the result is within (tolerance/5) * 2**-MARGIN_BITS (fixed_point_bits)
+    of the damped sum up to the cap, and within tolerance/10 more (the tail)
+    of the whole damped series, besides rounding each part once to a float.
+    Cost: one pass over the stream up to the cap and one root per class that
+    a term reaches, so it does not grow with m.  A term or total beyond float
+    range raises FloatRangeError, the first before any exact work.
     """
     return _root_value(exponent, m, i, rho, tolerance, rho)
 
@@ -324,22 +327,12 @@ def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 
 def _root_value(exponent: int, m: int, i: int, rho: float, tolerance: float, cap_radius: float) -> complex:
     """abel_evaluate truncated at the cap of cap_radius."""
     bits, sums = _damped_classes(exponent, m, rho, tolerance, cap_radius)
-    folded: dict[int, int] = {}
-    for r, total in sums.items():
-        j = r * i % m
-        folded[j] = folded.get(j, 0) + total
-    # each root coordinate is within 2 units of 2**-extra, which moves the
-    # value by less than 4 * weight * 2**-(bits + extra) <= tolerance/10
-    weight = sum(map(abs, folded.values()))
-    needed = weight.bit_length() - bits + math.log2(40) - math.log2(tolerance) + MARGIN_BITS
-    extra = max(0, math.ceil(needed))
     re = im = 0
-    for j, total in folded.items():
-        if total:
-            cos, sin = root_of_unity_fixed(m, j, extra)
-            re += total * cos
-            im += total * sin
-    return _to_complex(re, im, bits + extra, rho)
+    for r, total in sums.items():
+        cos, sin = root_of_unity_fixed(m, r * i % m, bits)
+        re += total * cos
+        im += total * sin
+    return _to_complex(re, im, 2 * bits, rho)
 
 
 def residue_class_abel(exponent: int, m: int, residue: int, rho: float, tolerance: float = 1e-9) -> complex:

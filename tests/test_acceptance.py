@@ -233,20 +233,26 @@ def test_a_planted_fault_fails_its_criterion_and_names_itself(monkeypatch, capsy
 def test_report_runs_one_class_pass_per_distinct_input(monkeypatch):
     # criterion 10 evaluates 48 distinct (exponent, m, rho, tolerance,
     # cap_radius) points, each at every root index, and its residue filters
-    # revisit the rho = 0.999 ones; each point searches for its cap once
+    # revisit the rho = 0.999 ones; each point searches for its cap once.
+    # Its roots are read at the class sums' own precision, so they repeat
+    # across root indices: 84 distinct roots at 4 widths of pi
     searches = []
     search = summation.required_exponent_cap
     monkeypatch.setattr(summation, "required_exponent_cap", lambda *args: searches.append(args) or search(*args))
-    summation._damped_classes.cache_clear()
+    caches = (summation._damped_classes, summation._root_fixed, summation._pi_fixed)
+    for cache in caches:
+        cache.cache_clear()
     try:
         results = acceptance.run_all()
-        passes = summation._damped_classes.cache_info()
+        passes, roots, widths = (cache.cache_info() for cache in caches)
     finally:
-        summation._damped_classes.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert results[9].number == 10 and results[9].passed
     assert 0 < passes.misses <= 48
     assert passes.misses == passes.currsize  # none evicted, so no input ran twice
     assert len(searches) == passes.misses
+    assert 0 < roots.misses <= 84 and 0 < widths.misses <= 4
 
 
 def test_a_planted_decay_verdict_reaches_abel_and_criterion_10(monkeypatch, capsys):

@@ -24,7 +24,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # abel at a root, on a residue class, on a pair whose verdict is FAIL, and on a
 # class no stream value reaches (both values 0, so FAIL too); then three roots
 # that pin the fixed-point root arithmetic: one off the quarter turns at m = 12,
-# one at an odd order, and one at an order with one root per folded class
+# one at an odd order, and one at an order with one class per stream value
 ABEL_GOLDENS = {
     "root": ["--lambda", "2", "--m", "3", "--i", "1", "--rho", "0.999"],
     "residue": ["--lambda", "1", "--m", "2", "--r", "0", "--rho", "0.99"],

@@ -1,6 +1,7 @@
 """Difference tables, exact alternating sums, branch splits, damped evaluation."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -411,7 +412,16 @@ def test_abel_near_one_is_within_tolerance_not_rounding_noise(exponent, m, i, rh
     assert distance(got, (re, im)) <= Decimal("1e-9")
 
 
+def near_zero_radii(test):
+    """Examples at rho = 1e-5 and 1e-3: caps 3 to 5, where the roots take
+    their largest share of the fixed-point bound."""
+    for exponent, m, rho in itertools.product(range(5), (3, 7, 12), (1e-5, 1e-3)):
+        test = example(exponent, m, rho)(test)
+    return test
+
+
 @settings(max_examples=25, deadline=None)
+@near_zero_radii
 @example(3, 12, 0.999)  # class sums near 5e7 cancel to about 1e-13 at every root
 @example(4, 12, 0.999)  # class sums near 2e11
 @given(
@@ -464,6 +474,25 @@ def test_fixed_point_error_is_within_the_stated_bound():
         assert got_bits == bits
         for residue, exact in enumerate(exact_class_sums(exponent, m, rho, cap)):
             assert abs(Decimal(sums.get(residue, 0)) / 2**bits - exact) <= bound
+
+
+@pytest.mark.parametrize(
+    "exponent, m, i, rho, baseline", [(3, 5, 2, 0.99, 0.9), (0, 1, 0, 0.999, 0.99), (2, 12, 7, 0.9, 0.5)]
+)
+def test_roots_are_read_at_the_class_sums_own_precision(monkeypatch, exponent, m, i, rho, baseline):
+    # one precision per damped point: each class sum meets its root at the
+    # point's P, in abel_evaluate and at both radii of a decay pair
+    asked = []
+    root = summation.root_of_unity_fixed
+    monkeypatch.setattr(summation, "root_of_unity_fixed", lambda m, j, bits: asked.append(bits) or root(m, j, bits))
+    tolerance = 1e-9
+    bits, sums = summation._damped_classes(exponent, m, rho, tolerance, rho)
+    abel_evaluate(exponent, m, i, rho, tolerance)
+    assert asked == [bits] * len(sums)
+    asked.clear()
+    abel_decay(exponent, m, rho, baseline, tolerance, i=i)
+    pair = [summation._damped_classes(exponent, m, r, tolerance, max(rho, baseline)) for r in (rho, baseline)]
+    assert asked == [pair_bits for pair_bits, classes in pair for _ in classes]
 
 
 def test_shared_class_sums_equal_a_fresh_pass_and_are_read_only():
