@@ -153,8 +153,6 @@ def power_sums(series: tuple[int, ...], count: int) -> list[int]:
     while len(p) < count:
         w *= 2
         size, bias, big = w * BLOCK, 1 << w - 1, max(map(abs, p), default=0)
-        if mass * big >= bias - top:
-            continue
         mask = (1 << size) - 1
         fill = mask // ((1 << w) - 1) * bias  # the bias in every slot: a block of zeros
         padded = [0] * BLOCK + p + [0] * BLOCK  # zero rows, p (whole blocks), and block b, which reads 0

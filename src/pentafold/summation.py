@@ -6,7 +6,6 @@ residue classes and at roots of unity, from fixed-point class sums and roots."""
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from functools import lru_cache
 from types import MappingProxyType
@@ -18,7 +17,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 HARD_EXPONENT_CAP = 10**6
-FLOAT_LOG_MAX = math.log(sys.float_info.max)
+# Fraction bits P of one damped point's exact pass, which set the width, and
+# so the memory and time, of every term of its walk.  It sits above the widest
+# P found for a request whose every term fits a float: 10,293 bits, at
+# lambda 2753, rho 5e-324 and tolerance 5e-323.
+HARD_BITS_CAP = 2**14
 # Bits kept past the fixed-point bound of a damped value (class sums and roots
 # together), so that a value far below the tolerance, as near rho -> 1, still
 # comes out with its own digits.
@@ -30,7 +33,7 @@ class NonPolynomialSequenceError(ValueError):
 
 
 class FloatRangeError(ValueError):
-    """A damped term or total lies beyond float range; no value is invented."""
+    """A damped value or its modulus lies beyond float range; no value is invented."""
 
 
 class TruncationInfeasibleError(ValueError):
@@ -147,17 +150,6 @@ def _exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     return needed
 
 
-def _largest_log_term(exponent: int, rho: float, cap: int) -> tuple[float, int]:
-    """The largest exponent*ln(v) + v*ln(rho) over the stream values
-    1 <= v <= cap, with its v.  The expression rises up to v* = exponent /
-    -ln(rho) and falls after it, so the largest sits at a stream value next to
-    min(v*, cap): the k-th pair brackets it for k = isqrt(2*min(v*, cap)/3)."""
-    log_rho = math.log(rho)
-    k = max(1, math.isqrt(int(2 * min(exponent / -log_rho, cap) / 3)))
-    values = (pentagonal(n, branch) for n in (k, k + 1) for branch in Branch)
-    return max((exponent * math.log(v) + v * log_rho, v) for v in values if v <= cap)
-
-
 def fixed_point_bits(exponent: int, rho: float, cap: int, tolerance: float) -> int:
     """Fraction bits P for the damping factors rho**v and the roots of unity,
     enough that the fixed-point error of a damped value over the stream values
@@ -222,22 +214,18 @@ def _damped_classes(
     no term reaches has no entry, so the cost follows the cap, not m.
 
     Checks the inputs, truncates at the cap of cap_radius (rho itself, or the
-    larger radius of an abel_decay pair) and refuses a term beyond float range
-    before any exact work.  Each distinct point runs once; later calls, such
-    as every root index of one point, share its result."""
+    larger radius of an abel_decay pair) and refuses a width P past
+    HARD_BITS_CAP before any exact work.  Each distinct point runs once; later
+    calls, such as every root index of one point, share its result."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     _check_tolerance(tolerance)
     cap = required_exponent_cap(exponent, cap_radius, tolerance)
-    if exponent:
-        log_term, value = _largest_log_term(exponent, rho, cap)
-        if log_term > FLOAT_LOG_MAX:
-            raise FloatRangeError(
-                f"term {value}**{exponent} * {rho}**{value} lies beyond float range"
-            )
     bits = fixed_point_bits(exponent, rho, cap, tolerance)
+    if bits > HARD_BITS_CAP:
+        raise ValueError(f"the exact pass needs {bits} fraction bits, beyond the cap {HARD_BITS_CAP}")
     sums = {0: 1 << bits} if exponent == 0 else {}
     for value, term in _stream_terms(exponent, rho, cap, bits):
         r = value % m
@@ -299,12 +287,15 @@ def _root_fixed(m: int, j: int, bits: int) -> tuple[int, int]:
 
 
 def _to_complex(re: int, im: int, bits: int, rho: float) -> complex:
-    """re + sqrt(-1)*im over 2**bits, each part rounded once to a float."""
+    """re + sqrt(-1)*im over 2**bits, each part rounded once to a float; a
+    part or a modulus beyond float range raises FloatRangeError."""
     scale = 1 << bits
     try:
-        return complex(re / scale, im / scale)
+        value = complex(re / scale, im / scale)
+        abs(value)
     except OverflowError:
         raise FloatRangeError(f"damped sum at rho={rho} lies beyond float range") from None
+    return value
 
 
 def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 1e-9) -> complex:
@@ -318,8 +309,9 @@ def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 
     of the damped sum up to the cap, and within tolerance/10 more (the tail)
     of the whole damped series, besides rounding each part once to a float.
     Cost: one pass over the stream up to the cap and one root per class that
-    a term reaches, so it does not grow with m.  A term or total beyond float
-    range raises FloatRangeError, the first before any exact work.
+    a term reaches, so it does not grow with m.  A value beyond float range
+    raises FloatRangeError after the exact pass; a pass wider than
+    HARD_BITS_CAP fraction bits raises ValueError before it.
     """
     return _root_value(exponent, m, i, rho, tolerance, rho)
 

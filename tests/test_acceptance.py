@@ -268,6 +268,19 @@ def test_a_planted_decay_verdict_reaches_abel_and_criterion_10(monkeypatch, caps
     assert row[2] == "FAIL"
 
 
+def test_a_planted_residue_filter_fails_criterion_10_alone(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "residue_class_abel", lambda *args: 1.0)
+    detail = "decay failures []; filter failures [(0, 1, 0), (0, 2, 0), (0, 2, 1)]"
+    result = acceptance.check_abel_decay()
+    assert (result.passed, result.detail) == (False, detail)
+    code = main(["report", "--format", "csv"])
+    rows = [line.split(",", 3) for line in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert rows[9][2:] == ["FAIL", detail]
+    # criteria 1 and 2 time a window that a preempted process can overrun
+    assert {row[0] for row in rows if row[2] == "FAIL"} <= {"10", "1", "2"}
+
+
 def test_report_walks_each_damped_stream_once():
     # criterion 10's 48 class passes read 8 streams: exponents 0..3 at
     # rho = 0.999 and 0.9, each shared by every root order m

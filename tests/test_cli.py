@@ -365,7 +365,7 @@ def test_abel_beyond_float_range_is_a_usage_error(capsys):
         ["--lambda", "150", "--m", "3", "--i", "1", "--rho", "0.9"],
         ["--lambda", "130", "--m", "4", "--r", "1", "--rho", "0.9"],
         ["--lambda", "10000", "--m", "3"],  # the tail bound needs a cap past 10**6
-        ["--lambda", "5000", "--m", "3", "--rho", "0.9"],  # a term near e**463000
+        ["--lambda", "5000", "--m", "3", "--rho", "0.9"],  # a pass 96,504 fraction bits wide
     ],
 )
 def test_abel_out_of_range_exits_two_with_one_line(capsys, argv):
@@ -375,6 +375,24 @@ def test_abel_out_of_range_exits_two_with_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("pentafold: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_abel_refuses_a_modulus_past_float_range_as_a_value(capsys):
+    code = main(["abel", "--lambda", "114", "--m", "7", "--i", "1", "--rho", "0.92"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "pentafold: damped sum at rho=0.92 lies beyond float range\n"
+
+
+def test_abel_class_value_ignores_terms_outside_the_class(capsys):
+    # class 1 mod 10**6 holds only v = 1; v = 1426 elsewhere has a term past float range
+    code, out = run_cli(
+        capsys, "abel", "--lambda", "150", "--m", "1000000", "--r", "1", "--rho", "0.9",
+        "--baseline", "0.5", "--format", "csv",
+    )
+    assert out.strip() == "150,1000000,r1,0.9,9.000000e-01,FAIL,5.000000e-01"
+    assert code == 1
 
 
 def test_abel_near_one_prints_the_exact_value_not_rounding_noise(capsys):
@@ -527,14 +545,14 @@ def test_a_closed_pipe_exits_two_with_one_line():
     # about 1.2 MB of csv, far more than a pipe holds, so the write is still
     # under way when the reader goes
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "pentafold", "sigma", "--max", "100000", "--method", "brute", "--format", "csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.stdout.readline() == "1,1\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 2
+    ) as proc:
+        assert proc.stdout.readline() == "1,1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err
     assert err.splitlines() == ["pentafold: sigma: output closed before it was all written"]
 

@@ -238,3 +238,19 @@ def test_records_keep_the_dataclass_repr_equality_and_immutability():
             setattr(record, field, 0)
         with pytest.raises(AttributeError):
             delattr(record, field)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pentafold.recurrence_terms(0, [0]), "recurrence needs n >= 1, got 0"),
+        (lambda: pentafold.interpolated_sequence(0), "count must be positive, got 0"),
+        (lambda: pentafold.pentagonal_series(-1), "degree cap must be non-negative, got -1"),
+        (lambda: pentafold.power_sums((1, -1, -1), 0), "count must be positive, got 0"),
+    ],
+    ids=["recurrence_terms", "interpolated_sequence", "pentagonal_series", "power_sums"],
+)
+def test_a_size_below_the_least_is_refused_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -4,7 +4,7 @@ import math
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentafold import (
@@ -260,7 +260,9 @@ def test_power_sums_widen_after_late_blocks():
     assert power_sums(series, count) == reference
 
 
-# Coefficients up to 10**6 outgrow 32-bit slots within a few rows.
+# Coefficients up to 10**6 outgrow 32-bit slots within a few rows.  In the
+# examples top = max j*|a_j| alone passes 2**31, so the first block's own
+# certificate refuses 32-bit slots before any row is kept.
 @settings(deadline=None)
 @given(
     st.one_of(
@@ -268,6 +270,12 @@ def test_power_sums_widen_after_late_blocks():
         monic_series(sparse=False, max_cap=BLOCK // 2, largest=10**6),
     )
 )
+@example(((1, 2**40), 1))
+@example(((1, 0, -(2**35), 7), 3))
+@example(((1, 3 * 2**31, 1), 2))
+@example(((1, 2**70), 1))
+@example(((1, 2**70) + (0,) * (BLOCK + 1), BLOCK + 2))
+@example(((1, 0, -(2**35), 7) + (0,) * (BLOCK + 1), BLOCK + 4))
 def test_power_sums_with_large_coefficients_match_dense_newton(case):
     series, count = case
     assert power_sums(series, count) == newton_reference(series, count)

@@ -1,6 +1,7 @@
 """Divisor sums: brute oracle, recurrence, boundary rule, persistence."""
 
 import errno
+import os
 from itertools import repeat
 from math import gcd, isqrt
 from pathlib import Path
@@ -304,6 +305,22 @@ def test_save_failing_part_way_leaves_old_cache_intact(tmp_path, monkeypatch):
         with pytest.raises(OSError) as exc:
             save_table(sigma_table(40), path)
     assert str(exc.value) == f"[Errno {errno.ENOSPC}] No space left on device: '{path}'"  # the target, not the partial file
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
+
+
+def test_save_interrupted_at_the_replace_reraises_and_leaves_old_cache_intact(tmp_path, monkeypatch):
+    path = tmp_path / "sigma.csv"
+    save_table(sigma_table(10), path)
+    before = path.read_bytes()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):  # not an OSError, so not renamed to the target
+            save_table(sigma_table(40), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
 

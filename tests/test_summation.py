@@ -670,15 +670,50 @@ def test_abel_beyond_float_range_raises_typed_error():
     assert issubclass(FloatRangeError, ValueError)
 
 
-def test_a_term_beyond_float_range_is_refused_before_the_exact_pass(monkeypatch):
+def test_a_pass_wider_than_the_bits_cap_is_refused_before_the_walk(monkeypatch):
     def exact_pass(*args):
         raise AssertionError("the exact pass ran")
 
     monkeypatch.setattr(summation, "_stream_terms", exact_pass)
-    with pytest.raises(FloatRangeError):  # a term near e**463000
+    with pytest.raises(ValueError, match="needs 96504 fraction bits, beyond the cap 16384"):
         abel_evaluate(5000, 3, 0, 0.9)
-    with pytest.raises(FloatRangeError):
-        residue_class_abel(130, 4, 1, 0.9)
+
+
+@pytest.mark.parametrize(
+    "exponent, rho, tolerance, bits, value",
+    [(2580, 1e-300, 5e-322, 9714, 2.2009551202413418e303), (2753, 5e-324, 5e-323, 10293, 5.411843404375727e307)],
+)
+def test_the_widest_passes_whose_terms_fit_a_float_are_still_answered(exponent, rho, tolerance, bits, value):
+    # every term of these requests fits a float, and no wider such pass was
+    # found on sweeps of lambda, rho and tolerance: the bits cap admits them
+    cap = required_exponent_cap(exponent, rho, tolerance)
+    assert fixed_point_bits(exponent, rho, cap, tolerance) == bits
+    assert abs(abel_evaluate(exponent, 1, 0, rho, tolerance)) == value
+
+
+def test_a_class_is_not_refused_for_terms_outside_it():
+    # class 1 mod 10**6 holds only v = 1 (sign -1), though v = 1426 of the
+    # stream has a term past float range at rho = 0.9
+    assert residue_class_abel(150, 10**6, 1, 0.9) == -0.9
+    assert residue_class_abel(150, 10**6, 1, 0.5) == -0.5
+    assert residue_class_abel(150, 5, 3, 0.9) == 0  # no stream value is 3 mod 5
+
+
+def test_a_finite_value_with_terms_past_float_range_is_summed_exactly():
+    # the largest term, at v = 8932, is near 10**316; the value is near 10**282
+    cap = required_exponent_cap(90, 0.99, 1e-9)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        exact = sum(sign * Decimal(v) ** 90 * Decimal(0.99) ** v for v, sign in signed_values(cap))
+    got = abel_evaluate(90, 1, 0, 0.99)
+    assert got.imag == 0
+    assert abs(Decimal(got.real) / exact - 1) < Decimal("1e-15")
+
+
+def test_a_modulus_beyond_float_range_is_refused_as_the_value_is():
+    # both parts fit a float, 8.5e307 and -1.8e308; their modulus does not
+    with pytest.raises(FloatRangeError, match="^damped sum at rho=0.92 lies beyond float range$"):
+        abel_evaluate(114, 7, 1, 0.92)
 
 
 def test_a_total_beyond_float_range_raises_typed_error():
