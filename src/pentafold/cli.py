@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="the signed term stream and its companions")
     p.add_argument("--count", type=POSITIVE, default=12, help="number of entries")
-    p.add_argument("--include-zero", action="store_true", help="lead with the k=0 term")
     mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--include-zero", action="store_true", help="lead with the k=0 term")
     mode.add_argument("--differences", action="store_true", help="difference progression of the merged sequence")
     mode.add_argument("--interpolated", action="store_true", help="merged sequence with interpolated fractions")
     mode.add_argument("--is-pentagonal", type=NON_NEGATIVE, metavar="V", help="classify one value instead")

@@ -442,6 +442,12 @@ def test_negative_value_to_classify_is_a_usage_error(capsys):
     assert line == "pentafold seq: error: argument --is-pentagonal: must be non-negative, got -3"
 
 
+def test_include_zero_with_another_seq_mode_is_a_usage_error(capsys):
+    # --include-zero leads the plain stream only; another mode would ignore it
+    line = refusal_line(capsys, ["seq", "--count", "3", "--include-zero", "--interpolated"])
+    assert line == "pentafold seq: error: argument --interpolated: not allowed with argument --include-zero"
+
+
 def test_abel_large_terms_within_float_range(capsys):
     # the largest term is about e**498: finite, though 1272**120 alone is not
     code, out = run_cli(

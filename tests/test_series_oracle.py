@@ -211,7 +211,7 @@ INTEGER_FLAGS = [
 RADIUS_FLAGS = ["--rho", "--baseline"]
 REQUIRED = {"sigma": ["--max", "7"], "sum": ["--lambda", "1"], "abel": ["--m", "3"]}
 EXCLUSIVE = {
-    "seq": [["--differences"], ["--interpolated"], ["--is-pentagonal", "5"]],
+    "seq": [["--include-zero"], ["--differences"], ["--interpolated"], ["--is-pentagonal", "5"]],
     "abel": [["--i", "1"], ["--r", "0"]],
 }
 USAGE_LINE = re.compile(r"pentafold[a-z -]*: error: \S.*")
