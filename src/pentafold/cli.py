@@ -43,14 +43,14 @@ RADIUS = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
 def render(rows: Iterable[tuple], columns: list[str], fmt: str) -> str:
-    """Rows, any iterable of tuples in column order, to text: an aligned
-    table, headerless CSV, or exactly json.dumps([dict(zip(columns, row)) for
-    row in rows], indent=2).  The rows are flattened once, and the whole output
-    is one % over the row template repeated once per row.  CSV fills %s, which
-    calls str on each cell.  For JSON and the table each column is a slice of
-    the flat list: a column of exact ints (never bool) prints with %d, and any
-    other is made text once (encode_basestring_ascii or json.dumps for JSON,
-    str for the table)."""
+    """Rows, any iterable of tuples in column order, to text: an aligned table,
+    headerless CSV, or exactly json.dumps([dict(zip(columns, row)) for row in
+    rows], indent=2).  The rows are flattened once into one % over the row
+    template repeated per row; a table ending in a text column instead formats
+    and strips each row.  CSV fills %s, which calls str on each cell.  For JSON
+    and the table each column is a slice of the flat list: a column of exact
+    ints (never bool) prints with %d, and any other is made text once
+    (encode_basestring_ascii or json.dumps for JSON, str for the table)."""
     width = len(columns)
     flat = [*chain.from_iterable(rows)]
     count = len(flat) // width
@@ -70,14 +70,13 @@ def render(rows: Iterable[tuple], columns: list[str], fmt: str) -> str:
         keys = (quote(name).replace("%", "%%") for name in columns)
         fields = ",\n    ".join(key + (": %d" if i else ": %s") for key, i in zip(keys, ints))
         return "[\n" + ",\n".join(["  {\n    " + fields + "\n  }"] * count) % tuple(flat) + "\n]"
-    widths, text = [], []
+    widths = []
     for c, name in enumerate(columns):
         if ints[c]:  # the longest numeral is the largest or the most negative
             column = flat[c::width]
             widths.append(max(len(name), len(str(max(column))), len(str(min(column)))))
         else:
             flat[c::width] = column = list(map(str, flat[c::width]))
-            text += column
             widths.append(max(len(name), max(map(len, column), default=0)))
     head = "  ".join(map(str.ljust, columns, widths)).rstrip()
     if not count:
@@ -85,9 +84,7 @@ def render(rows: Iterable[tuple], columns: list[str], fmt: str) -> str:
     line = "  ".join(f"%-{pad}d" if i else f"%-{pad}s" for pad, i in zip([*widths[:-1], ""], ints))  # last: unpadded
     if ints[-1]:  # every row ends in a digit, never in a blank
         return head + "\n" + "\n".join([line] * count) % tuple(flat)
-    held = set("".join(text))  # rows lose their trailing blanks, so each ends in a mark no cell holds
-    mark = next(c for c in chain("\n", map(chr, range(0xE000, 0x110000))) if c not in held)
-    return "\n".join([head, *map(str.rstrip, (mark.join([line] * count) % tuple(flat)).split(mark))])
+    return "\n".join([head, *((line % tuple(flat[k : k + width])).rstrip() for k in range(0, len(flat), width))])
 
 
 def cmd_seq(args) -> tuple[Iterable[tuple], list[str], bool]:

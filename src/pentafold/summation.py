@@ -22,6 +22,9 @@ HARD_EXPONENT_CAP = 10**6
 # P found for a request whose every term fits a float: 10,293 bits, at
 # lambda 2753, rho 5e-324 and tolerance 5e-323.
 HARD_BITS_CAP = 2**14
+# Roots times P**2 for one value at a root of unity.  A root at P <= HARD_BITS_CAP
+# bits takes under 6e-10 * P**2 s (2-core host), so a value's roots take under 10 s.
+HARD_ROOTS_CAP = 2**34
 # Bits kept past the fixed-point bound of a damped value (class sums and roots
 # together), so that a value far below the tolerance, as near rho -> 1, still
 # comes out with its own digits.
@@ -109,13 +112,6 @@ def pentagonal_power_sum(exponent: int) -> PowerSumSplit:
     return PowerSumSplit(exponent, s, t, total)
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance > 0.0:  # written so that NaN fails too
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if tolerance == math.inf:  # the bits for it would be ceil(-inf)
-        raise ValueError(f"tolerance must be finite, got {tolerance}")
-
-
 def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
     """Smallest cap M with M**exponent * rho**M / (1 - rho) below tolerance/10.
 
@@ -128,9 +124,12 @@ def required_exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
 
 @lru_cache(maxsize=16)  # a report asks 48 times for 4 distinct inputs
 def _exponent_cap(exponent: int, rho: float, tolerance: float) -> int:
+    if not tolerance > 0.0:  # written so that NaN fails too
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if tolerance == math.inf:  # the bits for it would be ceil(-inf)
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    _check_tolerance(tolerance)
     bound = tolerance / 10.0
     if not bound > 0.0:  # the doubling search below would never reach it
         raise ValueError(f"tolerance {tolerance} is too small: its tenth underflows to 0")
@@ -213,15 +212,14 @@ def _damped_classes(
     and the constant term adds 2**bits at r = 0 when exponent is 0.  A class
     no term reaches has no entry, so the cost follows the cap, not m.
 
-    Checks the inputs, truncates at the cap of cap_radius (rho itself, or the
-    larger radius of an abel_decay pair) and refuses a width P past
-    HARD_BITS_CAP before any exact work.  Each distinct point runs once; later
-    calls, such as every root index of one point, share its result."""
+    Checks m and rho, truncates at the cap of cap_radius (rho, or the larger
+    radius of an abel_decay pair), whose search checks the tolerance, and
+    refuses a P past HARD_BITS_CAP before any exact work.  Each distinct point
+    runs once; every later call, such as another root index, shares it."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    _check_tolerance(tolerance)
     cap = required_exponent_cap(exponent, cap_radius, tolerance)
     bits = fixed_point_bits(exponent, rho, cap, tolerance)
     if bits > HARD_BITS_CAP:
@@ -308,10 +306,11 @@ def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 
     so the result is within (tolerance/5) * 2**-MARGIN_BITS (fixed_point_bits)
     of the damped sum up to the cap, and within tolerance/10 more (the tail)
     of the whole damped series, besides rounding each part once to a float.
-    Cost: one pass over the stream up to the cap and one root per class that
-    a term reaches, so it does not grow with m.  A value beyond float range
+    Cost: one pass over the stream up to the cap and one root per class that a
+    term reaches, so it does not grow with m.  A value beyond float range
     raises FloatRangeError after the exact pass; a pass wider than
-    HARD_BITS_CAP fraction bits raises ValueError before it.
+    HARD_BITS_CAP fraction bits raises ValueError before it, and roots times
+    P**2 past HARD_ROOTS_CAP before the first root.
     """
     return _root_value(exponent, m, i, rho, tolerance, rho)
 
@@ -319,6 +318,9 @@ def abel_evaluate(exponent: int, m: int, i: int, rho: float, tolerance: float = 
 def _root_value(exponent: int, m: int, i: int, rho: float, tolerance: float, cap_radius: float) -> complex:
     """abel_evaluate truncated at the cap of cap_radius."""
     bits, sums = _damped_classes(exponent, m, rho, tolerance, cap_radius)
+    roots = sum(1 for r in sums if 4 * r * i % m)  # a quarter turn's root is exact at no cost
+    if roots * bits**2 > HARD_ROOTS_CAP:
+        raise ValueError(f"{roots} roots at {bits} fraction bits pass the cap {HARD_ROOTS_CAP} on roots * bits**2")
     re = im = 0
     for r, total in sums.items():
         cos, sin = root_of_unity_fixed(m, r * i % m, bits)

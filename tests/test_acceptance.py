@@ -304,6 +304,15 @@ def test_a_planted_residue_filter_fails_criterion_10_alone(monkeypatch, capsys):
     assert {row[0] for row in rows if row[2] == "FAIL"} <= {"10", "1", "2"}
 
 
+def test_report_builds_one_sigma_table(monkeypatch):
+    # criterion 3 builds the recurrence table to 10^4; criterion 11 reads the
+    # eleven rows criterion 1 certifies instead of building them again
+    calls = []
+    monkeypatch.setattr(acceptance, "sigma_table", lambda *args: calls.append(args) or sigma_table(*args))
+    acceptance.run_all()
+    assert calls == [(10**4, "recurrence")]
+
+
 def test_report_walks_each_damped_stream_once():
     # criterion 10's 48 class passes read 8 streams: exponents 0..3 at
     # rho = 0.999 and 0.9, each shared by every root order m

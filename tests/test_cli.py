@@ -755,13 +755,18 @@ def test_table_and_csv_render_match_the_dict_renderer(fmt, table):
 
 # Fixed tables past the six rows that tables() draws: a long int table, the
 # widest and most negative ints, bools (printed as True/False, never through
-# %d), and a last text column with trailing blanks, empty cells and newlines.
+# %d), and a last text column with trailing blanks, empty cells and newlines,
+# short and at the row counts the text-last commands print.
+TEXT_CELLS = ("x ", "", "\n", "b\n c ", " \n ", "a", "\t", "\ue000 ")
 LONG_TABLES = {
     "sigma_brute_5000": (list(zip(range(1, 5001), sigma_table(5000, "brute")[1:])), ["n", "sigma"]),
     "int_extremes": ([(-(10**60), 7), (10**60, -3), (0, -12345), (5, 10**60)], ["a", "b"]),
     "bools": ([(True, 1, False), (False, True, True), (True, -2, False)], ["flag", "mixed", "last"]),
     "last_text": ([(1, "ab", "x "), (-22, "a", ""), (3, "", "\n"), (4, "a \n", "b\n c ")], ["n", "mid", "text"]),
     "empty": ([], ["n", "sigma"]),
+    "last_text_2500": (
+        [(n, TEXT_CELLS[n % 3], TEXT_CELLS[n % len(TEXT_CELLS)]) for n in range(-1250, 1250)], ["n", "mid", "text"]
+    ),
 }
 
 

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,6 +27,7 @@ from pentafold import (
     residue_class_abel,
 )
 from pentafold import summation
+from pentafold.cli import main
 from pentafold.pentagonal import differences, signed_values
 from pentafold.summation import MARGIN_BITS, FloatRangeError, fixed_point_bits, root_of_unity_fixed
 
@@ -305,6 +307,8 @@ def test_damped_entries_check_the_root_order_then_rho_then_the_tolerance():
         abel_decay(1, 2, 0.99, 1.5, math.nan)  # the near point is checked first
     with pytest.raises(ValueError, match="^rho must lie strictly between 0 and 1, got 1.5$"):
         abel_decay(1, 2, 0.99, 1.5)
+    with pytest.raises(ValueError, match="^tolerance must be positive, got nan$"):
+        required_exponent_cap(1, 1.5, math.nan)
 
 
 def test_abel_matches_truncated_product():
@@ -677,6 +681,23 @@ def test_a_pass_wider_than_the_bits_cap_is_refused_before_the_walk(monkeypatch):
     monkeypatch.setattr(summation, "_stream_terms", exact_pass)
     with pytest.raises(ValueError, match="needs 96504 fraction bits, beyond the cap 16384"):
         abel_evaluate(5000, 3, 0, 0.9)
+
+
+def test_roots_past_the_roots_cap_are_refused_before_the_first(monkeypatch, capsys):
+    # 1,380 classes at P = 15,690 bits: about 0.1 s a root, minutes in all
+    def root(*args):
+        raise AssertionError("a root was computed")
+
+    monkeypatch.setattr(summation, "root_of_unity_fixed", root)
+    message = "1380 roots at 15690 fraction bits pass the cap 17179869184 on roots * bits**2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        abel_evaluate(800, 10**6, 1, 0.985)
+    assert main(["abel", "--lambda", "800", "--m", "1000000", "--i", "1", "--rho", "0.985"]) == 2
+    assert capsys.readouterr() == ("", f"pentafold: {message}\n")
+    assert residue_class_abel(800, 10**6, 1, 0.985) == -0.985  # a class value needs no root
+    monkeypatch.undo()
+    with pytest.raises(FloatRangeError):  # at i = 0 every root is 1, exact at no cost
+        abel_evaluate(800, 10**6, 0, 0.985)
 
 
 @pytest.mark.parametrize(
